@@ -393,7 +393,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except ValueError as exc:  # includes SchemaError and RowError
+    except (ValueError, FloatingPointError) as exc:  # SchemaError, RowError, divergence
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -6,6 +6,15 @@ dimension.  Forward evaluation and exact analytic backward passes are both
 provided; the backward pass is validated against central finite differences
 in the test suite.
 
+Summation order of the embedding gradient.  Floating-point addition is not
+associative, so the batch gradient fixes one order and every implementation
+must keep it to produce the same bits: for each sequence, a token's
+occurrences are added one by one, in sequence order, starting from 0.0; the
+per-sequence sums for one vocabulary row are then added in batch order,
+again starting from 0.0.  ``encode_backward_batch_ids`` keeps that order
+with vectorized adds over the batch's distinct (token, sequence) pairs and
+one ``np.bincount``, so it needs no dense |V| x d_e buffer per sequence.
+
 A trained model is a ``DualEncoder``: one shared vocabulary plus two
 independent parameter sets, one for contexts and one for reviews.
 Checkpoints are .npz archives; loading reproduces encode outputs bit-exactly.
@@ -13,11 +22,13 @@ Checkpoints are .npz archives; loading reproduces encode outputs bit-exactly.
 
 from __future__ import annotations
 
+import os
 import re
 import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -202,33 +213,6 @@ def encode_batch_ids(params: EncoderParams, batches: Sequence[Sequence[int]]) ->
     return np.stack([encode_ids(params, ids) for ids in batches])
 
 
-def encode_backward_ids(
-    params: EncoderParams,
-    token_ids: Sequence[int],
-    upstream: np.ndarray,
-) -> EncoderGradients:
-    """Exact gradients of ``upstream . encode_ids(params, token_ids)``.
-
-    Embedding rows absent from token_ids get zero gradient; a row appearing
-    k times among T tokens receives k/T of the pooled gradient.
-    """
-    if len(token_ids) == 0:
-        raise ValueError("cannot backpropagate through an empty token sequence")
-    upstream = np.asarray(upstream, dtype=float)
-    if upstream.shape != (params.d,):
-        raise ValueError(f"upstream gradient shape {upstream.shape} != ({params.d},)")
-    ids = np.asarray(token_ids, dtype=np.intp)
-    pooled = params.embedding[ids].mean(axis=0)
-    grad_bias = upstream.copy()
-    grad_projection = np.outer(pooled, upstream)
-    grad_pooled = params.projection @ upstream
-    grad_embedding = np.zeros_like(params.embedding)
-    np.add.at(grad_embedding, ids, grad_pooled / len(ids))
-    return EncoderGradients(
-        embedding=grad_embedding, projection=grad_projection, bias=grad_bias
-    )
-
-
 @dataclass
 class DualEncoder:
     """Shared vocabulary plus independent context and review encoders."""
@@ -245,6 +229,11 @@ class DualEncoder:
                 f"encoder tables sized {self.context.vocab_size}/"
                 f"{self.review.vocab_size} do not match vocabulary of {len(self.vocab)}"
             )
+        if self.context.d != self.review.d:
+            raise ValueError(
+                f"context latent dimension {self.context.d} does not match "
+                f"review latent dimension {self.review.d}"
+            )
 
     def copy(self) -> "DualEncoder":
         return DualEncoder(
@@ -252,22 +241,48 @@ class DualEncoder:
         )
 
 
+@contextmanager
+def atomic_write(path: str | Path) -> Iterator[BinaryIO]:
+    """Binary file whose contents replace ``path`` only if the block succeeds.
+
+    Writes go to a temporary file in the same directory, which is moved
+    over ``path`` with ``os.replace`` at the end; on any error it is
+    removed, so ``path`` is never left half-written.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(model: DualEncoder, path: str | Path) -> None:
-    """Persist a DualEncoder as an .npz archive."""
+    """Persist a DualEncoder as an .npz archive, atomically.
+
+    As with ``np.savez``, ``.npz`` is appended to a path without it.
+    """
+    path = Path(path)
+    if not path.name.endswith(".npz"):
+        path = path.with_name(path.name + ".npz")
     tokens = model.vocab.to_tokens()
-    np.savez(
-        Path(path),
-        format_version=np.array(CHECKPOINT_VERSION),
-        vocab_tokens=np.array(tokens),
-        vocab_min_frequency=np.array(model.vocab.min_frequency),
-        vocab_max_size=np.array(model.vocab.max_size),
-        context_embedding=model.context.embedding,
-        context_projection=model.context.projection,
-        context_bias=model.context.bias,
-        review_embedding=model.review.embedding,
-        review_projection=model.review.projection,
-        review_bias=model.review.bias,
-    )
+    with atomic_write(path) as handle:
+        np.savez(
+            handle,
+            format_version=np.array(CHECKPOINT_VERSION),
+            vocab_tokens=np.array(tokens),
+            vocab_min_frequency=np.array(model.vocab.min_frequency),
+            vocab_max_size=np.array(model.vocab.max_size),
+            context_embedding=model.context.embedding,
+            context_projection=model.context.projection,
+            context_bias=model.context.bias,
+            review_embedding=model.review.embedding,
+            review_projection=model.review.projection,
+            review_bias=model.review.bias,
+        )
 
 
 def load_checkpoint(path: str | Path) -> DualEncoder:
@@ -310,19 +325,63 @@ def encode_backward_batch_ids(
     batches: Sequence[Sequence[int]],
     upstream_rows: np.ndarray,
 ) -> EncoderGradients:
-    """Summed gradients over a batch of sequences with per-row upstreams."""
+    """Exact gradients of ``sum_i upstream_rows[i] . encode_ids(params, batches[i])``.
+
+    Embedding rows absent from the batch get zero gradient; a row appearing
+    k times among a sequence's T tokens receives k/T of that sequence's
+    pooled gradient.  The summation order is the one in the module
+    docstring.
+    """
     if len(batches) != len(upstream_rows):
         raise ValueError(
             f"{len(batches)} sequences but {len(upstream_rows)} upstream rows"
         )
-    grad_embedding = np.zeros_like(params.embedding)
+    vocab_size = params.vocab_size
     grad_projection = np.zeros_like(params.projection)
     grad_bias = np.zeros_like(params.bias)
+    seq_ids = []
+    seq_grads = []
     for ids, upstream in zip(batches, upstream_rows):
-        g = encode_backward_ids(params, ids, upstream)
-        grad_embedding += g.embedding
-        grad_projection += g.projection
-        grad_bias += g.bias
+        if len(ids) == 0:
+            raise ValueError("cannot backpropagate through an empty token sequence")
+        upstream = np.asarray(upstream, dtype=float)
+        if upstream.shape != (params.d,):
+            raise ValueError(f"upstream gradient shape {upstream.shape} != ({params.d},)")
+        ids = np.asarray(ids, dtype=np.intp)
+        pooled = params.embedding[ids].mean(axis=0)
+        grad_bias += upstream
+        grad_projection += np.outer(pooled, upstream)
+        seq_ids.append(ids)
+        seq_grads.append((params.projection @ upstream) / len(ids))
+    if not seq_ids:
+        return EncoderGradients(
+            embedding=np.zeros_like(params.embedding),
+            projection=grad_projection,
+            bias=grad_bias,
+        )
+
+    # One key per distinct (token, sequence) pair, sorted by token, then by
+    # sequence; negative ids wrap as in indexing.
+    n_seqs = len(seq_ids)
+    tokens = np.concatenate(seq_ids) % vocab_size
+    seqs = np.repeat(np.arange(n_seqs), [len(ids) for ids in seq_ids])
+    keys, counts = np.unique(tokens * n_seqs + seqs, return_counts=True)
+    key_tokens, key_seqs = np.divmod(keys, n_seqs)
+    # Pass 1: a sequence's k occurrences of a token, added one by one from 0.0.
+    seq_grads = np.stack(seq_grads)
+    sums = seq_grads[key_seqs]
+    sums += 0.0
+    for k in range(2, counts.max() + 1):
+        more = counts >= k
+        sums[more] += seq_grads[key_seqs[more]]
+    # Pass 2: bincount adds each bin's weights in input order from 0.0, and
+    # the keys of one token come in batch order.
+    d_e = params.d_e
+    grad_embedding = np.bincount(
+        (key_tokens[:, None] * d_e + np.arange(d_e)).ravel(),
+        weights=sums.ravel(),
+        minlength=vocab_size * d_e,
+    ).reshape(vocab_size, d_e)
     return EncoderGradients(
         embedding=grad_embedding, projection=grad_projection, bias=grad_bias
     )

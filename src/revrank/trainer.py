@@ -26,6 +26,7 @@ from .encoder import (
     DualEncoder,
     EncoderGradients,
     EncoderParams,
+    atomic_write,
     build_vocabulary,
     encode_backward_batch_ids,
     encode_batch_ids,
@@ -154,6 +155,13 @@ class AdamWState:
         )
 
 
+# Rows per chunk of the AdamW update.  At d_e = 64 a chunk of each of the six
+# arrays it touches (parameter, gradient, both moments, two scratch buffers)
+# is 256 KiB, 1.5 MiB in all, which fits a 2 MiB per-core L2 cache; 512 was
+# the fastest of 128 to 2048 rows at |V| = 26.6k on such a Xeon.
+ADAMW_BLOCK_ROWS = 512
+
+
 def optimizer_step(
     params: EncoderParams,
     grads: EncoderGradients,
@@ -166,23 +174,47 @@ def optimizer_step(
 
     Weight decay is decoupled: p <- p - lr * (m_hat / (sqrt(v_hat) + eps)
     + weight_decay * p).  ``t`` is the 1-based update count.
+
+    Decoupled decay changes every row, so the update is dense.  Evaluated
+    whole, each of its steps would make a temporary the size of the block
+    (|V| x d_e for the embedding) and stream it through memory.  Instead it
+    runs over chunks of ADAMW_BLOCK_ROWS rows, writing into two scratch
+    buffers with ``out=``.  Every element still goes through the same
+    operations in the same order, so the result is bit-identical to the
+    whole-array expression.  A non-finite gradient raises FloatingPointError
+    before its chunk is changed.
     """
     if t < 1:
         raise ValueError(f"update count must be >= 1, got {t}")
     b1, b2 = config.beta1, config.beta2
-    for name, p in params.blocks().items():
-        g = grads.blocks()[name]
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient in {name}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        m_hat = m / (1 - b1**t)
-        v_hat = v / (1 - b2**t)
-        p -= lr * (m_hat / (np.sqrt(v_hat) + config.eps) + config.weight_decay * p)
+    m_correction = 1 - b1**t
+    v_correction = 1 - b2**t
+    for name, param in params.blocks().items():
+        grad = grads.blocks()[name]
+        scratch_a = np.empty_like(param[:ADAMW_BLOCK_ROWS])
+        scratch_b = np.empty_like(scratch_a)
+        for start in range(0, len(param), ADAMW_BLOCK_ROWS):
+            rows = slice(start, start + ADAMW_BLOCK_ROWS)
+            p, g, m, v = param[rows], grad[rows], state.m[name][rows], state.v[name][rows]
+            if not np.all(np.isfinite(g)):
+                raise FloatingPointError(f"non-finite gradient in {name}")
+            a, b = scratch_a[: len(p)], scratch_b[: len(p)]
+            m *= b1
+            np.multiply(1 - b1, g, out=a)
+            m += a
+            v *= b2
+            np.multiply(1 - b2, g, out=a)
+            a *= g
+            v += a
+            np.divide(m, m_correction, out=a)
+            np.divide(v, v_correction, out=b)
+            np.sqrt(b, out=b)
+            b += config.eps
+            a /= b
+            np.multiply(config.weight_decay, p, out=b)
+            a += b
+            a *= lr
+            p -= a
 
 
 @dataclass
@@ -247,6 +279,9 @@ def initialize_model(records: Sequence[ReviewRecord], config: TrainConfig) -> Du
     )
 
 
+# The loop below detects divergence and raises FloatingPointError; numpy's
+# overflow warnings on the way there would only repeat it on stderr.
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     train_records: Sequence[ReviewRecord],
     valid_records: Sequence[ReviewRecord],
@@ -259,7 +294,8 @@ def train(
     ``valid_records`` (those with at least 2 reviews); the best-validation
     and final models are both returned, and written to ``out_dir`` as
     best.npz / final.npz alongside the training log, the vocabulary, and a
-    config echo when a directory is given.
+    config echo when a directory is given.  Each file is replaced
+    atomically, so a failed write leaves no partial file behind.
     """
     model = initialize_model(train_records, config)
     groups = group_by_accommodation(train_records)
@@ -336,11 +372,14 @@ def train(
         out_dir.mkdir(parents=True, exist_ok=True)
         save_checkpoint(result.model, out_dir / "final.npz")
         save_checkpoint(result.best_model, out_dir / "best.npz")
-        (out_dir / "train_log.txt").write_text(result.log_text(), encoding="utf-8")
-        (out_dir / "vocabulary.txt").write_text(
-            "\n".join(model.vocab.to_tokens()) + "\n", encoding="utf-8"
-        )
-        (out_dir / "config.txt").write_text(config_to_text(config), encoding="utf-8")
+        texts = {
+            "train_log.txt": result.log_text(),
+            "vocabulary.txt": "\n".join(model.vocab.to_tokens()) + "\n",
+            "config.txt": config_to_text(config),
+        }
+        for name, text in texts.items():
+            with atomic_write(out_dir / name) as handle:
+                handle.write(text.encode("utf-8"))
     return result
 
 

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+import revrank
 from revrank.cli import main
 from revrank.dataset import load_csv, write_csv
 from revrank.synthgen import SynthConfig, generate
@@ -140,6 +147,19 @@ class TestTrain:
 
     def test_unknown_flag_exit_1(self, corpus_csv):
         assert main(["train", "--data", str(corpus_csv), "--bogus-flag", "1"]) == 1
+
+    def test_divergence_exit_1_one_line(self, corpus_csv, tmp_path):
+        # A subprocess, so that warnings printed to stderr are seen too.
+        env = dict(os.environ, PYTHONPATH=str(Path(revrank.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "revrank", "train", "--data", str(corpus_csv),
+             "--preset", "desk", "--learning-rate", "1e8", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: training diverged at epoch 1 batch ")
 
     def test_checkpoint_layout(self, checkpoint_dir):
         names = sorted(p.name for p in checkpoint_dir.iterdir())
@@ -288,6 +308,28 @@ class TestCorruptCheckpoint:
         code = main(["evaluate", "--checkpoint", str(fake),
                      "--data", str(corpus_csv), "--methods", "model"])
         assert code == 1
+
+    def test_mismatched_latent_dimensions_exit_1(self, corpus_csv, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        path = tmp_path / "mismatched.npz"
+        np.savez(
+            path,
+            format_version=np.array(1),
+            vocab_tokens=np.array(["hotel", "<unk>"]),
+            vocab_min_frequency=np.array(1),
+            vocab_max_size=np.array(50000),
+            context_embedding=rng.normal(size=(2, 3)),
+            context_projection=rng.normal(size=(3, 4)),
+            context_bias=np.zeros(4),
+            review_embedding=rng.normal(size=(2, 3)),
+            review_projection=rng.normal(size=(3, 5)),
+            review_bias=np.zeros(5),
+        )
+        code = main(["evaluate", "--checkpoint", str(path),
+                     "--data", str(corpus_csv), "--methods", "model"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "context latent dimension 4 does not match review latent dimension 5" in err
 
     def test_missing_checkpoint_exit_2(self, corpus_csv):
         code = main(["evaluate", "--checkpoint", "no/ckpt.npz",

@@ -11,7 +11,6 @@ from revrank.encoder import (
     build_vocabulary,
     encode,
     encode_backward_batch_ids,
-    encode_backward_ids,
     encode_batch_ids,
     encode_ids,
     init_params,
@@ -175,13 +174,13 @@ def rel_err(a, b):
 class TestBackward:
     def test_zero_upstream(self):
         params = small_params()
-        g = encode_backward_ids(params, [0, 1, 1], np.zeros(4))
+        g = encode_backward_batch_ids(params, [[0, 1, 1]], np.zeros(4)[None])
         assert not any(b.any() for b in g.blocks().values())
 
     def test_single_token_embedding_grad(self):
         params = small_params(seed=5)
         upstream = np.array([1.0, -2.0, 0.5, 3.0])
-        g = encode_backward_ids(params, [7], upstream)
+        g = encode_backward_batch_ids(params, [[7]], upstream[None])
         assert np.allclose(g.embedding[7], params.projection @ upstream)
         assert np.allclose(g.embedding[[0, 1, 2, 3, 4, 5, 6, 8, 9]], 0.0)
         assert np.allclose(g.bias, upstream)
@@ -189,7 +188,7 @@ class TestBackward:
     def test_repeated_token_accumulates(self):
         params = small_params(seed=6)
         upstream = np.ones(4)
-        g = encode_backward_ids(params, [2, 2, 3], upstream)
+        g = encode_backward_batch_ids(params, [[2, 2, 3]], upstream[None])
         per_token = params.projection @ upstream / 3
         assert np.allclose(g.embedding[2], 2 * per_token)
         assert np.allclose(g.embedding[3], per_token)
@@ -200,7 +199,7 @@ class TestBackward:
             params = small_params(seed=100 + trial)
             ids = rng.integers(0, 10, size=rng.integers(1, 7)).tolist()
             upstream = rng.normal(size=4)
-            analytic = encode_backward_ids(params, ids, upstream)
+            analytic = encode_backward_batch_ids(params, [ids], upstream[None])
             numeric = finite_difference_grads(params, ids, upstream)
             for name in numeric:
                 assert rel_err(analytic.blocks()[name], numeric[name]) < 1e-4, name
@@ -210,15 +209,15 @@ class TestBackward:
         seqs = [[0, 1], [2, 2, 3]]
         ups = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, -1.0, 0.5]])
         total = encode_backward_batch_ids(params, seqs, ups)
-        a = encode_backward_ids(params, seqs[0], ups[0])
-        b = encode_backward_ids(params, seqs[1], ups[1])
+        a = encode_backward_batch_ids(params, [seqs[0]], ups[0][None])
+        b = encode_backward_batch_ids(params, [seqs[1]], ups[1][None])
         for name in total.blocks():
             assert np.allclose(total.blocks()[name], a.blocks()[name] + b.blocks()[name])
 
     def test_shape_mismatch(self):
         params = small_params()
         with pytest.raises(ValueError):
-            encode_backward_ids(params, [0], np.zeros(3))
+            encode_backward_batch_ids(params, [[0]], np.zeros(3)[None])
 
 
 class TestIndependence:
@@ -255,7 +254,7 @@ def test_property_gradients_match_fd(data, vocab_size):
             )
         )
     )
-    analytic = encode_backward_ids(params, ids, upstream)
+    analytic = encode_backward_batch_ids(params, [ids], upstream[None])
     numeric = finite_difference_grads(params, ids, upstream)
     for name in numeric:
         assert rel_err(analytic.blocks()[name], numeric[name]) < 1e-4

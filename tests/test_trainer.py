@@ -250,3 +250,22 @@ class TestTrain:
     def test_empty_training_split_rejected(self):
         with pytest.raises(ValueError):
             train([], [], desk_config())
+
+    def test_failed_save_leaves_no_partial_checkpoint(self, tmp_path, monkeypatch):
+        records = learnable_records(n_acc=2, per_type=1)
+        config = desk_config(epochs=1)
+        kept = tmp_path / "kept"
+        train(records, [], config, out_dir=kept)
+        before = {p.name: p.read_bytes() for p in kept.iterdir()}
+
+        def failing_write_array(fid, *args, **kwargs):
+            fid.write(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np.lib.format, "write_array", failing_write_array)
+        fresh = tmp_path / "fresh"
+        for out_dir in (fresh, kept):
+            with pytest.raises(OSError, match="disk full"):
+                train(records, [], config, out_dir=out_dir)
+        assert list(fresh.iterdir()) == []
+        assert {p.name: p.read_bytes() for p in kept.iterdir()} == before
