@@ -4,7 +4,7 @@ The two-tower model and its contrastive objectives
 
 Builds a tiny dual encoder by hand, walks through the in-batch
 interaction matrix, and compares the two training objectives on the same
-batch. Ends with the deployed scoring rule for a single pair.
+batch. Ends with the deployed scoring rule for one guest.
 """
 
 import numpy as np
@@ -13,11 +13,11 @@ from revrank.contrastive import (
     bce_loss,
     info_nce_loss,
     interaction_matrix,
-    score_pair,
+    score_ids,
 )
 from revrank.encoder import (
+    DualEncoder,
     build_vocabulary,
-    encode,
     encode_batch_ids,
     init_params,
     tokenize,
@@ -49,8 +49,8 @@ for params in (ctx_params, rev_params):
     params.embedding *= 20
     params.projection *= 20
 
-ctx_ids = [vocab.encode_tokens(tokenize(t)) for t in contexts_text]
-rev_ids = [vocab.encode_tokens(tokenize(t)) for t in reviews_text]
+ctx_ids = [vocab.encode_text(t) for t in contexts_text]
+rev_ids = [vocab.encode_text(t) for t in reviews_text]
 C = encode_batch_ids(ctx_params, ctx_ids)
 R = encode_batch_ids(rev_params, rev_ids)
 
@@ -78,7 +78,9 @@ print(f"InfoNCE grad norms: contexts {np.linalg.norm(nce.grad_contexts):.4f}, "
 big = interaction_matrix(C * 1000, R * 1000)
 print(f"InfoNCE at extreme scores stays finite: {info_nce_loss(big).loss:.6f}")
 
-# At serving time a single guest/review pair is scored on its own.
-score = score_pair(ctx_params, rev_params, vocab,
-                   contexts_text[2], reviews_text[2])
-print(f"deployed pair score for guest 2 and review 2: {score:.4f}")
+# At serving time one guest is scored against every review in a single
+# matrix product: the context is encoded once, each review once.
+model = DualEncoder(vocab=vocab, context=ctx_params, review=rev_params)
+scores = score_ids(model, [vocab.encode_text(contexts_text[2])],
+                   [vocab.encode_text(t) for t in reviews_text])
+print(f"deployed scores for guest 2: {np.round(scores[0], 4)}")

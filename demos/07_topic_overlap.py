@@ -11,7 +11,7 @@ suggestions share topics with what the guest actually wrote.
 from revrank.dataset import group_by_accommodation, GuestType, split_dataset
 from revrank.evaluation import (
     format_overlap_table,
-    model_rank_group,
+    model_scores,
     parse_lexicon,
     topic_overlap_report,
 )
@@ -41,8 +41,8 @@ print(f"topics: {sorted(lexicon)}")
 # Stratified sampling spreads the sampled guests over the guest types.
 rows = topic_overlap_report(
     test_g,
-    model_ranker=lambda g: model_rank_group(result.best_model, g),
-    baseline_ranker=lambda g: model_rank_group(untrained, g),
+    model_scorer=lambda g: model_scores(result.best_model, g),
+    baseline_scorer=lambda g: model_scores(untrained, g),
     lexicon=lexicon,
     n_samples=8,
     seed=0,
@@ -55,8 +55,8 @@ print(format_overlap_table(rows))
 # topic with the guest's own review.
 wide = topic_overlap_report(
     test_g,
-    model_ranker=lambda g: model_rank_group(result.best_model, g),
-    baseline_ranker=lambda g: model_rank_group(untrained, g),
+    model_scorer=lambda g: model_scores(result.best_model, g),
+    baseline_scorer=lambda g: model_scores(untrained, g),
     lexicon=lexicon,
     n_samples=40,
     seed=0,

@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
-from .contrastive import score_pair
+import numpy as np
+
+from .contrastive import score_ids
 from .dataset import (
     group_by_accommodation,
     load_csv,
@@ -37,18 +40,13 @@ from .evaluation import (
     format_overlap_table,
     helpful_votes_ranking,
     model_rank_group,
+    model_scores,
     parse_lexicon,
     topic_overlap_report,
 )
 from .synthgen import SynthConfig, generate, parse_synth_config_file, parse_synth_value
 from .textualize import serialize_context, serialize_review
-from .trainer import (
-    PRESETS,
-    TrainConfig,
-    config_with_overrides,
-    parse_config_file,
-    train,
-)
+from .trainer import PRESETS, TrainConfig, parse_config_file, train
 
 
 class CliError(Exception):
@@ -138,7 +136,7 @@ def cmd_gen_synthetic(args) -> int:
 def cmd_train(args) -> int:
     config = PRESETS[args.preset] if args.preset else TrainConfig()
     if args.config:
-        config = config_with_overrides(config, parse_config_file(args.config))
+        config = replace(config, **parse_config_file(args.config))
     flag_overrides = {
         "learning_rate": args.learning_rate,
         "weight_decay": args.weight_decay,
@@ -153,9 +151,7 @@ def cmd_train(args) -> int:
         "min_frequency": args.min_frequency,
         "max_vocab_size": args.max_vocab_size,
     }
-    config = config_with_overrides(
-        config, {k: v for k, v in flag_overrides.items() if v is not None}
-    )
+    config = replace(config, **{k: v for k, v in flag_overrides.items() if v is not None})
 
     records = _load_records(args.data)
     fractions = _parse_fractions(args.split)
@@ -259,19 +255,16 @@ def cmd_rank(args) -> int:
         )
     group = groups[0]
     guest = _parse_context_flags(args.context)
-    context_text = serialize_context(guest, group.records[0].accommodation)
-    scored = []
-    for idx, record in enumerate(group.records):
-        score = score_pair(
-            model.context, model.review, model.vocab,
-            context_text, serialize_review(record.review),
-        )
-        scored.append((idx, score))
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    print(f"# accommodation={group.accommodation_id} reviews={len(scored)}")
-    for position, (idx, score) in enumerate(scored[: args.top], start=1):
+    context = serialize_context(guest, group.records[0].accommodation)
+    reviews = [serialize_review(r.review) for r in group.records]
+    scores = score_ids(
+        model, [model.vocab.encode_text(context)], [model.vocab.encode_text(t) for t in reviews]
+    )[0]
+    order = np.argsort(-scores, kind="stable")  # ties keep record order
+    print(f"# accommodation={group.accommodation_id} reviews={len(scores)}")
+    for position, idx in enumerate(order[: args.top].tolist(), start=1):
         title = group.records[idx].review.review_title or "(no title)"
-        print(f"{position}\t{score:.6f}\t{idx}\t{title}")
+        print(f"{position}\t{scores[idx]:.6f}\t{idx}\t{title}")
     return 0
 
 
@@ -288,8 +281,8 @@ def cmd_compare(args) -> int:
     groups = group_by_accommodation(records)
     rows = topic_overlap_report(
         groups,
-        lambda g: model_rank_group(model, g),
-        lambda g: model_rank_group(baseline, g),
+        lambda g: model_scores(model, g),
+        lambda g: model_scores(baseline, g),
         lexicon,
         n_samples=args.samples,
         seed=args.seed,

@@ -19,10 +19,11 @@ gradient (the forward value is saturated anyway).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .encoder import EncoderParams, Vocabulary, encode
+from .encoder import DualEncoder, encode_batch_ids
 
 SIGMOID_CLAMP = 30.0
 BCE_EPS = 1e-12
@@ -137,15 +138,16 @@ def bce_loss(inter: Interaction) -> LossOutput:
 LOSSES = {"infonce": info_nce_loss, "bce": bce_loss}
 
 
-def score_pair(
-    params_ctx: EncoderParams,
-    params_rev: EncoderParams,
-    vocab: Vocabulary,
-    context_text: str,
-    review_text: str,
-) -> float:
-    """Deployed scoring rule: sigmoid of the encoded dot product."""
-    c = encode(params_ctx, vocab, context_text)
-    r = encode(params_rev, vocab, review_text)
-    z = np.clip(c @ r, -SIGMOID_CLAMP, SIGMOID_CLAMP)
-    return float(sigmoid(np.asarray([z]))[0])
+def score_ids(
+    model: DualEncoder,
+    context_ids: Sequence[Sequence[int]],
+    review_ids: Sequence[Sequence[int]],
+) -> np.ndarray:
+    """Deployed scoring rule over token ids: sigmoid(clip(C R^T, +-30)).
+
+    Row i scores context i against every review; each sequence is encoded
+    once, and all dot products come from one matrix product.
+    """
+    contexts = encode_batch_ids(model.context, context_ids)
+    reviews = encode_batch_ids(model.review, review_ids)
+    return sigmoid(np.clip(contexts @ reviews.T, -SIGMOID_CLAMP, SIGMOID_CLAMP))

@@ -13,7 +13,7 @@ import enum
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -266,6 +266,20 @@ def _parse_row(row: dict[str, str], row_num: int) -> ReviewRecord:
     return ReviewRecord(review=review, guest=guest, accommodation=accommodation)
 
 
+def _rows(reader: csv.DictReader) -> Iterator[dict[str, str] | csv.Error]:
+    """The reader's rows, with the error in place of a row it cannot split.
+
+    After such an error the reader goes on at the next line.
+    """
+    while True:
+        try:
+            yield next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            yield exc
+
+
 def load_csv(path: str | Path, schema_mode: str = "strict") -> LoadResult:
     """Load a review CSV.
 
@@ -273,14 +287,18 @@ def load_csv(path: str | Path, schema_mode: str = "strict") -> LoadResult:
     and the first malformed row aborts the load.  In ``lenient`` mode extra
     columns are ignored and malformed rows are skipped and reported.
     Rows whose accommodation context disagrees with an earlier row of the
-    same accommodation_id are malformed.
+    same accommodation_id are malformed, and so are rows the CSV reader
+    cannot split (a field over ``csv.field_size_limit()``, a NUL byte).
     """
     if schema_mode not in ("strict", "lenient"):
         raise ValueError(f"schema_mode must be 'strict' or 'lenient', got {schema_mode!r}")
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
-        header = reader.fieldnames
+        try:
+            header = reader.fieldnames
+        except csv.Error as exc:
+            raise SchemaError(f"{path}: unreadable header row: {exc}") from None
         if header is None:
             raise SchemaError(f"{path}: empty file, no header row")
         missing = [c for c in COLUMNS if c not in header]
@@ -294,8 +312,10 @@ def load_csv(path: str | Path, schema_mode: str = "strict") -> LoadResult:
         records: list[ReviewRecord] = []
         rejections: list[RowRejection] = []
         seen_accommodation: dict[str, AccommodationContext] = {}
-        for row_num, row in enumerate(reader, start=1):
+        for row_num, row in enumerate(_rows(reader), start=1):
             try:
+                if isinstance(row, csv.Error):
+                    raise RowError(row_num, f"unreadable CSV row: {row}")
                 record = _parse_row(row, row_num)
                 acc = record.accommodation
                 known = seen_accommodation.get(acc.accommodation_id)

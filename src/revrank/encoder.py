@@ -71,6 +71,10 @@ class Vocabulary:
     def encode_tokens(self, tokens: Sequence[str]) -> list[int]:
         return [self.lookup(t) for t in tokens[:MAX_TOKENS]]
 
+    def encode_text(self, text: str) -> list[int]:
+        """Token ids of a string: tokenized, truncated, looked up."""
+        return self.encode_tokens(tokenize(text))
+
     def to_tokens(self) -> list[str]:
         """Tokens in index order (UNK last by construction)."""
         ordered = sorted(self.index.items(), key=lambda kv: kv[1])
@@ -200,14 +204,6 @@ def encode_ids(params: EncoderParams, token_ids: Sequence[int]) -> np.ndarray:
     return pooled @ params.projection + params.bias
 
 
-def encode(params: EncoderParams, vocab: Vocabulary, text: str) -> np.ndarray:
-    """Tokenize, truncate, and encode one string."""
-    ids = vocab.encode_tokens(tokenize(text))
-    if not ids:
-        raise ValueError(f"text tokenized to nothing: {text!r}")
-    return encode_ids(params, ids)
-
-
 def encode_batch_ids(params: EncoderParams, batches: Sequence[Sequence[int]]) -> np.ndarray:
     """Stack of latent vectors, one row per id sequence."""
     return np.stack([encode_ids(params, ids) for ids in batches])
@@ -301,7 +297,7 @@ def load_checkpoint(path: str | Path) -> DualEncoder:
                     f"(expected {CHECKPOINT_VERSION})"
                 )
             vocab = Vocabulary.from_tokens(
-                [str(t) for t in data["vocab_tokens"]],
+                data["vocab_tokens"].tolist(),
                 min_frequency=int(data["vocab_min_frequency"]),
                 max_size=int(data["vocab_max_size"]),
             )

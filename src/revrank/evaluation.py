@@ -1,10 +1,20 @@
 """Ranking evaluation, baselines, and significance testing.
 
 For every context in an accommodation, all of that accommodation's reviews
-are scored and sorted (descending score, ties by ascending record position).
-MRR and Precision@k are macro-averaged: per accommodation first, then over
-accommodations.  Method comparison uses a Friedman test over accommodations
-as blocks, with the pairwise Dunn test as post-hoc.
+are scored: an m x m matrix whose row j scores context j against every
+review.  A ranking is kept as a rank vector, not as an ordering: entry j is
+the 1-based rank of context j's own review in row j under the order
+(descending score, then ascending record position), which is
+
+    rank[j] = 1 + #{i : row[i] > row[j]} + #{i < j : row[i] == row[j]}.
+
+Ties therefore go to the earlier record, and -0.0 ties with 0.0.  The
+count is vectorized over the whole matrix, with no sort.  MRR and
+Precision@k are macro-averaged: per accommodation first, then over
+accommodations; each accommodation's mean is summed in Python, in context
+order, so the floats do not depend on numpy's summation order.  Method
+comparison uses a Friedman test over accommodations as blocks, with the
+pairwise Dunn test as post-hoc.
 
 The Friedman statistic follows the classical formula without tie
 correction; its p-value comes from the chi-square survival function, and
@@ -14,144 +24,119 @@ Dunn p-values from the normal survival function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import gammaincc
 
-from .contrastive import SIGMOID_CLAMP, sigmoid
-from .dataset import AccommodationGroup
-from .encoder import DualEncoder, encode, tokenize
-from .textualize import serialize_context, serialize_review
+from .contrastive import score_ids
+from .dataset import AccommodationGroup, ReviewRecord
+from .encoder import DualEncoder, Vocabulary, tokenize
+from .textualize import serialize_record
 
-Scorer = Callable[[str, str], float]
+# Both map one accommodation group to an array: a rank vector (one own-review
+# rank per context) or an m x m score matrix (rows: contexts).
+Ranker = Callable[[AccommodationGroup], np.ndarray]
+GroupScorer = Callable[[AccommodationGroup], np.ndarray]
 
 
-@dataclass(frozen=True)
-class RankedList:
-    """One context's ordering of its accommodation's reviews.
+def rank_from_scores(scores: np.ndarray) -> np.ndarray:
+    """Own-review rank vector from an m x m score matrix (rows: contexts).
 
-    ``order`` holds review positions within the group, best first;
-    ``rank_of_own`` is the 1-based position of the context's own review.
+    Infinite scores are ordered like any other; NaN cannot be ordered and
+    is rejected.
     """
-
-    context_index: int
-    order: tuple[int, ...]
-    rank_of_own: int
-
-    def __post_init__(self):
-        if sorted(self.order) != list(range(len(self.order))):
-            raise ValueError("order must be a permutation of the group positions")
-        if self.order[self.rank_of_own - 1] != self.context_index:
-            raise ValueError(
-                f"rank_of_own={self.rank_of_own} inconsistent with order for "
-                f"context {self.context_index}"
-            )
-
-
-def rank_from_scores(scores: np.ndarray) -> list[RankedList]:
-    """Ranked lists from an m x m score matrix (rows: contexts)."""
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 2 or scores.shape[0] != scores.shape[1]:
         raise ValueError(f"expected a square score matrix, got {scores.shape}")
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("scorer produced non-finite values")
-    m = scores.shape[0]
-    ranked = []
-    for j in range(m):
-        row = scores[j]
-        order = sorted(range(m), key=lambda i: (-row[i], i))
-        ranked.append(
-            RankedList(
-                context_index=j,
-                order=tuple(order),
-                rank_of_own=order.index(j) + 1,
-            )
-        )
-    return ranked
+    if np.isnan(scores).any():
+        raise ValueError("scorer produced NaN scores")
+    own = np.diagonal(scores)[:, None]
+    earlier = np.tri(len(scores), k=-1, dtype=bool)  # [j, i] is i < j
+    return 1 + np.count_nonzero(
+        (scores > own) | ((scores == own) & earlier), axis=1
+    )
 
 
-def rank_group(scorer: Scorer, group: AccommodationGroup) -> list[RankedList]:
-    """Score every (context, review) pair of a group with a text scorer."""
-    if len(group) < 2:
-        raise ValueError(f"group {group.accommodation_id!r} has fewer than 2 reviews")
-    contexts = [serialize_context(r.guest, r.accommodation) for r in group.records]
-    reviews = [serialize_review(r.review) for r in group.records]
-    scores = np.array([[scorer(c, r) for r in reviews] for c in contexts], dtype=float)
-    return rank_from_scores(scores)
+def record_ids(
+    vocab: Vocabulary, records: Sequence[ReviewRecord]
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Context and review token ids of each record, in record order."""
+    contexts, reviews = [], []
+    for record in records:
+        ctx_text, rev_text = serialize_record(record)
+        contexts.append(vocab.encode_text(ctx_text))
+        reviews.append(vocab.encode_text(rev_text))
+    return contexts, reviews
 
 
 def model_scores(model: DualEncoder, group: AccommodationGroup) -> np.ndarray:
     """Pairwise sigmoid scores for a group, encoding each text once."""
-    c = np.stack(
-        [
-            encode(model.context, model.vocab, serialize_context(r.guest, r.accommodation))
-            for r in group.records
-        ]
-    )
-    r = np.stack(
-        [encode(model.review, model.vocab, serialize_review(rec.review)) for rec in group.records]
-    )
-    z = np.clip(c @ r.T, -SIGMOID_CLAMP, SIGMOID_CLAMP)
-    return sigmoid(z)
+    return score_ids(model, *record_ids(model.vocab, group.records))
 
 
-def model_rank_group(model: DualEncoder, group: AccommodationGroup) -> list[RankedList]:
+def model_rank_group(model: DualEncoder, group: AccommodationGroup) -> np.ndarray:
     if len(group) < 2:
         raise ValueError(f"group {group.accommodation_id!r} has fewer than 2 reviews")
     return rank_from_scores(model_scores(model, group))
 
 
-def helpful_votes_ranking(group: AccommodationGroup) -> list[RankedList]:
-    """Non-personalized baseline: one shared descending-votes ordering."""
+def helpful_votes_ranking(group: AccommodationGroup) -> np.ndarray:
+    """Non-personalized baseline: one shared descending-votes ordering.
+
+    Entry j is the position of review j in that ordering, ties going to the
+    earlier review.
+    """
     if len(group) < 2:
         raise ValueError(f"group {group.accommodation_id!r} has fewer than 2 reviews")
     votes = [r.review.review_helpful_votes for r in group.records]
-    order = tuple(sorted(range(len(votes)), key=lambda i: (-votes[i], i)))
-    return [
-        RankedList(context_index=j, order=order, rank_of_own=order.index(j) + 1)
-        for j in range(len(votes))
-    ]
+    order = sorted(range(len(votes)), key=lambda i: (-votes[i], i))
+    ranks = np.empty(len(votes), dtype=np.intp)
+    ranks[order] = np.arange(1, len(votes) + 1)
+    return ranks
 
 
-def mrr(ranked_groups: Sequence[Sequence[RankedList]]) -> float:
-    """Macro MRR: mean over accommodations of mean reciprocal own-rank."""
-    values = per_accommodation_mrr(ranked_groups)
-    return sum(values) / len(values)
-
-
-def per_accommodation_mrr(ranked_groups: Sequence[Sequence[RankedList]]) -> list[float]:
-    if not ranked_groups:
+def _rank_lists(rank_vectors: Sequence[np.ndarray]) -> list[list[int]]:
+    """Validated rank vectors as lists of Python ints."""
+    if len(rank_vectors) == 0:
         raise ValueError("no accommodations to evaluate")
-    values = []
-    for ranked in ranked_groups:
-        if not ranked:
+    lists = []
+    for ranks in rank_vectors:
+        ranks = np.asarray(ranks)
+        if ranks.ndim != 1:
+            raise ValueError(f"a rank vector must be 1-D, got shape {ranks.shape}")
+        if ranks.size == 0:
             raise ValueError("empty accommodation in evaluation input")
-        values.append(sum(1.0 / rl.rank_of_own for rl in ranked) / len(ranked))
-    return values
+        if ranks.dtype.kind not in "iu" or ranks.min() < 1:
+            raise ValueError(f"ranks must be integers >= 1, got dtype {ranks.dtype}, "
+                             f"minimum {ranks.min()}")
+        lists.append(ranks.tolist())
+    return lists
 
 
-def precision_at_k(ranked_groups: Sequence[Sequence[RankedList]], k: int) -> float:
-    """Macro Precision@k: fraction of own reviews ranked in the top k."""
-    values = per_accommodation_precision(ranked_groups, k)
+def mrr(rank_vectors: Sequence[np.ndarray]) -> float:
+    """Macro MRR: mean over accommodations of mean reciprocal own-rank."""
+    values = per_accommodation_mrr(rank_vectors)
     return sum(values) / len(values)
 
 
-def per_accommodation_precision(
-    ranked_groups: Sequence[Sequence[RankedList]], k: int
-) -> list[float]:
+def per_accommodation_mrr(rank_vectors: Sequence[np.ndarray]) -> list[float]:
+    return [sum(1.0 / r for r in ranks) / len(ranks) for ranks in _rank_lists(rank_vectors)]
+
+
+def precision_at_k(rank_vectors: Sequence[np.ndarray], k: int) -> float:
+    """Macro Precision@k: fraction of own reviews ranked in the top k."""
+    values = per_accommodation_precision(rank_vectors, k)
+    return sum(values) / len(values)
+
+
+def per_accommodation_precision(rank_vectors: Sequence[np.ndarray], k: int) -> list[float]:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not ranked_groups:
-        raise ValueError("no accommodations to evaluate")
-    values = []
-    for ranked in ranked_groups:
-        if not ranked:
-            raise ValueError("empty accommodation in evaluation input")
-        hits = sum(1 for rl in ranked if rl.rank_of_own <= k)
-        values.append(hits / len(ranked))
-    return values
+    return [
+        sum(1 for r in ranks if r <= k) / len(ranks) for ranks in _rank_lists(rank_vectors)
+    ]
 
 
 def random_scorer_expectation(m: int) -> float:
@@ -270,9 +255,6 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
         return mean, 0.0
     var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
     return mean, math.sqrt(var)
-
-
-Ranker = Callable[[AccommodationGroup], list[RankedList]]
 
 
 def evaluate_methods(
@@ -417,27 +399,31 @@ def _review_text(record) -> str:
     return "\n".join(p for p in parts if p)
 
 
-def _top_other(ranked: RankedList) -> int:
-    """Best-ranked review that is not the context's own."""
-    for position in ranked.order:
-        if position != ranked.context_index:
-            return position
-    raise ValueError("group has no other review")
+def _top_other(scores: np.ndarray, j: int) -> int:
+    """Context j's best-scored review other than its own.
+
+    This is the first argmax of row j with the own entry left out, the
+    same review the (descending score, ascending position) order puts first
+    after skipping the own one.
+    """
+    best = int(np.argmax(np.delete(scores[j], j)))
+    return best if best < j else best + 1
 
 
 def topic_overlap_report(
     groups: Sequence[AccommodationGroup],
-    model_ranker: Ranker,
-    baseline_ranker: Ranker,
+    model_scorer: GroupScorer,
+    baseline_scorer: GroupScorer,
     lexicon: dict[str, list[str]],
     n_samples: int,
     seed: int,
     stratify: bool = False,
 ) -> list[OverlapRow]:
-    """Sampled comparison of topic overlap against a baseline ranker.
+    """Sampled comparison of topic overlap against a baseline scorer.
 
-    For each sampled context the top-ranked review EXCLUDING the context's
-    own is compared (the own review would be a trivial self-match).  With
+    Each scorer maps a group to its m x m score matrix.  For each sampled
+    context the top-ranked review EXCLUDING the context's own is compared
+    (the own review would be a trivial self-match).  With
     ``stratify`` set, samples are spread as evenly as possible across guest
     types, in enum declaration order.
     """
@@ -476,22 +462,30 @@ def topic_overlap_report(
         picks = rng.choice(len(candidates), size=n_samples, replace=False)
         chosen = [candidates[int(i)] for i in sorted(picks)]
 
-    ranked_cache: dict[tuple[int, str], list[RankedList]] = {}
+    score_cache: dict[tuple[int, str], np.ndarray] = {}
 
-    def ranked_for(g_idx: int, which: str, ranker: Ranker) -> list[RankedList]:
+    def scores_for(g_idx: int, which: str, scorer: GroupScorer) -> np.ndarray:
         key = (g_idx, which)
-        if key not in ranked_cache:
-            ranked_cache[key] = ranker(eligible[g_idx])
-        return ranked_cache[key]
+        if key not in score_cache:
+            group = eligible[g_idx]
+            scores = np.asarray(scorer(group), dtype=float)
+            if scores.shape != (len(group), len(group)):
+                raise ValueError(
+                    f"{which} scorer returned shape {scores.shape} for {len(group)} reviews"
+                )
+            if np.isnan(scores).any():
+                raise ValueError(f"{which} scorer produced NaN scores")
+            score_cache[key] = scores
+        return score_cache[key]
 
     rows = []
     for g_idx, j in chosen:
         group = eligible[g_idx]
-        model_rank = ranked_for(g_idx, "model", model_ranker)[j]
-        base_rank = ranked_for(g_idx, "baseline", baseline_ranker)[j]
+        model_pick_index = _top_other(scores_for(g_idx, "model", model_scorer), j)
+        base_pick_index = _top_other(scores_for(g_idx, "baseline", baseline_scorer), j)
         original = _review_text(group.records[j])
-        model_pick = _review_text(group.records[_top_other(model_rank)])
-        base_pick = _review_text(group.records[_top_other(base_rank)])
+        model_pick = _review_text(group.records[model_pick_index])
+        base_pick = _review_text(group.records[base_pick_index])
         rows.append(
             OverlapRow(
                 accommodation_id=group.accommodation_id,

@@ -40,7 +40,7 @@ from .dataset import (
     group_by_accommodation,
 )
 from .encoder import tokenize
-from .evaluation import RankedList, per_accommodation_mrr
+from .evaluation import mrr, rank_from_scores
 
 DEFAULT_SEGMENT_LEXICONS: dict[GuestType, tuple[str, ...]] = {
     GuestType.SOLO_TRAVELLER: (
@@ -297,18 +297,12 @@ def bayes_optimal_mrr(config: SynthConfig, records: Sequence[ReviewRecord] | Non
     """
     if records is None:
         records = generate(config)
-    ranked_groups = []
+    rank_vectors = []
     for group in group_by_accommodation(records):
         tokens = [_review_tokens(r) for r in group.records]
-        m = len(group)
-        ranked = []
-        for j in range(m):
-            guest_type = group.records[j].guest.guest_type
-            scores = [token_log_likelihood(t, guest_type, config) for t in tokens]
-            order = sorted(range(m), key=lambda i: (-scores[i], i))
-            ranked.append(
-                RankedList(context_index=j, order=tuple(order), rank_of_own=order.index(j) + 1)
-            )
-        ranked_groups.append(ranked)
-    values = per_accommodation_mrr(ranked_groups)
-    return sum(values) / len(values)
+        scores = [
+            [token_log_likelihood(t, r.guest.guest_type, config) for t in tokens]
+            for r in group.records
+        ]
+        rank_vectors.append(rank_from_scores(np.array(scores)))
+    return mrr(rank_vectors)

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .contrastive import LOSSES, interaction_matrix
+from .contrastive import LOSSES, interaction_matrix, score_ids
 from .dataset import ReviewRecord, group_by_accommodation
 from .encoder import (
     DualEncoder,
@@ -34,7 +34,7 @@ from .encoder import (
     save_checkpoint,
     tokenize,
 )
-from .evaluation import model_rank_group, mrr
+from .evaluation import mrr, rank_from_scores, record_ids
 from .sampling import in_accommodation_epoch, random_epoch
 from .textualize import serialize_record
 
@@ -291,11 +291,12 @@ def train(
     """Fine-tune a fresh DualEncoder on the training split.
 
     Validation MRR is computed after each epoch on the accommodations of
-    ``valid_records`` (those with at least 2 reviews); the best-validation
-    and final models are both returned, and written to ``out_dir`` as
-    best.npz / final.npz alongside the training log, the vocabulary, and a
-    config echo when a directory is given.  Each file is replaced
-    atomically, so a failed write leaves no partial file behind.
+    ``valid_records`` (those with at least 2 reviews), which are tokenized
+    once; the best-validation and final models are both returned, and
+    written to ``out_dir`` as best.npz / final.npz alongside the training
+    log, the vocabulary, and a config echo when a directory is given.  Each
+    file is replaced atomically, so a failed write leaves no partial file
+    behind.
     """
     model = initialize_model(train_records, config)
     groups = group_by_accommodation(train_records)
@@ -305,12 +306,8 @@ def train(
         else []
     )
 
-    context_ids = []
-    review_ids = []
-    for record in train_records:
-        ctx_text, rev_text = serialize_record(record)
-        context_ids.append(model.vocab.encode_tokens(tokenize(ctx_text)))
-        review_ids.append(model.vocab.encode_tokens(tokenize(rev_text)))
+    context_ids, review_ids = record_ids(model.vocab, train_records)
+    valid_ids = [record_ids(model.vocab, g.records) for g in valid_groups]
 
     loss_fn = LOSSES[config.loss]
     steps_per_epoch = len(_epoch_plan(train_records, groups, config, 0).batches)
@@ -348,7 +345,7 @@ def train(
 
         val_mrr = None
         if valid_groups:
-            val_mrr = mrr([model_rank_group(model, g) for g in valid_groups])
+            val_mrr = mrr([rank_from_scores(score_ids(model, *ids)) for ids in valid_ids])
             if val_mrr > best_val:
                 best_val = val_mrr
                 result.best_model = model.copy()
@@ -381,8 +378,3 @@ def train(
             with atomic_write(out_dir / name) as handle:
                 handle.write(text.encode("utf-8"))
     return result
-
-
-def config_with_overrides(base: TrainConfig, overrides: dict) -> TrainConfig:
-    """New config with the given fields replaced (keys already validated)."""
-    return replace(base, **overrides)

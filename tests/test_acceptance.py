@@ -44,7 +44,6 @@ from revrank.evaluation import (
     per_accommodation_mrr,
     precision_at_k,
     rank_from_scores,
-    RankedList,
     random_scorer_expectation,
 )
 from revrank.sampling import in_accommodation_epoch, random_epoch, verify_plan
@@ -177,11 +176,8 @@ def test_criterion_03_metric_oracles():
         ) / len(brute_ranks)
         exact = exact and precision_at_k(groups, k) == brute_p
 
-    hand = [
-        RankedList(context_index=0, order=(0, 1, 2, 3), rank_of_own=1),
-        RankedList(context_index=1, order=(0, 1, 2, 3), rank_of_own=2),
-        RankedList(context_index=3, order=(0, 1, 2, 3), rank_of_own=4),
-    ]
+    # contexts 0, 1 and 3 of a 4-review group, all with the order (0, 1, 2, 3)
+    hand = np.array([1, 2, 4])
     hand_err = abs(mrr([hand]) - 7.0 / 12.0)
     report(
         3,

@@ -69,6 +69,44 @@ class TestIngest:
     def test_unreadable_input_exit_2(self, capsys):
         assert main(["ingest", "--input", "no/such/file.csv"]) == 2
 
+    def oversized_field_csv(self, corpus_csv, tmp_path):
+        """The corpus with one review field over the CSV reader's field limit."""
+        lines = corpus_csv.read_text().splitlines()
+        column = lines[0].split(",").index("review_positive")
+        cells = lines[2].split(",")
+        cells[column] = "x" * 131073
+        lines[2] = ",".join(cells)
+        path = tmp_path / "oversized.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return path, len(lines) - 1
+
+    def run_ingest(self, *args):
+        # A subprocess, so that a traceback on stderr is seen too.
+        env = dict(os.environ, PYTHONPATH=str(Path(revrank.__file__).parents[1]))
+        return subprocess.run(
+            [sys.executable, "-m", "revrank", "ingest", *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_oversized_field_lenient_rejects_row(self, corpus_csv, tmp_path):
+        path, n_rows = self.oversized_field_csv(corpus_csv, tmp_path)
+        proc = self.run_ingest("--input", str(path))
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        out = proc.stdout.splitlines()
+        assert "rejections=1" in out
+        assert any(l.startswith("rejection.row_2=") and "field limit" in l for l in out)
+        # the reader goes on at the next line: every other row is loaded
+        assert f"n_records={n_rows - 1}" in out
+
+    def test_oversized_field_strict_exit_1_one_line(self, corpus_csv, tmp_path):
+        path, _ = self.oversized_field_csv(corpus_csv, tmp_path)
+        proc = self.run_ingest("--input", str(path), "--strict")
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: row 2: ")
+
 
 class TestGenSynthetic:
     def test_writes_ingestible_csv(self, tmp_path):

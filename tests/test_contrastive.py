@@ -12,10 +12,10 @@ from revrank.contrastive import (
     info_nce_floor,
     info_nce_loss,
     interaction_matrix,
-    score_pair,
+    score_ids,
     sigmoid,
 )
-from revrank.encoder import EncoderParams, build_vocabulary, init_params, tokenize
+from revrank.encoder import DualEncoder, build_vocabulary, init_params, tokenize
 
 
 def random_batch(seed, n=4, d=8, scale=1.0):
@@ -214,27 +214,38 @@ class TestSymmetries:
 
 
 class TestScorePair:
+    """Pair scores from the batched scoring routine over token ids."""
+
     def test_zero_projection_gives_half(self):
         vocab = build_vocabulary([tokenize("hello world")], 1, 10)
         params = init_params(d=4, d_e=4, vocab_size=len(vocab), seed=0)
         params.projection[:] = 0.0
         params.bias[:] = 0.0
-        assert score_pair(params, params, vocab, "hello", "world") == pytest.approx(0.5)
+        model = DualEncoder(vocab=vocab, context=params, review=params)
+        scores = score_ids(model, [vocab.encode_text("hello")], [vocab.encode_text("world")])
+        assert scores.shape == (1, 1)
+        assert scores[0, 0] == pytest.approx(0.5)
 
     def test_consistent_with_matrix(self):
         vocab = build_vocabulary([tokenize("alpha beta gamma delta")], 1, 10)
         ctx = init_params(d=4, d_e=4, vocab_size=len(vocab), seed=1)
         rev = init_params(d=4, d_e=4, vocab_size=len(vocab), seed=2)
-        from revrank.encoder import encode
+        from revrank.encoder import encode_ids
 
         texts = [("alpha", "beta"), ("gamma", "delta")]
-        c = np.stack([encode(ctx, vocab, a) for a, _ in texts])
-        r = np.stack([encode(rev, vocab, b) for _, b in texts])
+        c = np.stack([encode_ids(ctx, vocab.encode_text(a)) for a, _ in texts])
+        r = np.stack([encode_ids(rev, vocab.encode_text(b)) for _, b in texts])
         inter = interaction_matrix(c, r)
-        for i, (a, b) in enumerate(texts):
-            assert score_pair(ctx, rev, vocab, a, b) == pytest.approx(
-                inter.values[i, i], abs=1e-12
-            )
+        model = DualEncoder(vocab=vocab, context=ctx, review=rev)
+        scores = score_ids(
+            model,
+            [vocab.encode_text(a) for a, _ in texts],
+            [vocab.encode_text(b) for _, b in texts],
+        )
+        for i in range(len(texts)):
+            assert scores[i, i] == pytest.approx(inter.values[i, i], abs=1e-12)
+        # the same floats as the training-side interaction matrix
+        assert np.array_equal(scores, inter.values)
 
     def test_monotone_in_dot_product(self):
         z = np.linspace(-5, 5, 21)

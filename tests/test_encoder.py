@@ -9,7 +9,6 @@ from revrank.encoder import (
     EncoderParams,
     Vocabulary,
     build_vocabulary,
-    encode,
     encode_backward_batch_ids,
     encode_batch_ids,
     encode_ids,
@@ -113,8 +112,8 @@ class TestEncode:
     def test_encode_string_uses_unk(self):
         vocab = build_vocabulary([["hello", "world"]], min_frequency=1, max_size=10)
         params = small_params(vocab_size=len(vocab))
-        out_known = encode(params, vocab, "hello")
-        out_unknown = encode(params, vocab, "zzz")
+        out_known = encode_ids(params, vocab.encode_text("hello"))
+        out_unknown = encode_ids(params, vocab.encode_text("zzz"))
         expected_unk = params.embedding[vocab.unk_index] @ params.projection + params.bias
         assert np.allclose(out_unknown, expected_unk)
         assert not np.allclose(out_known, out_unknown)

@@ -6,10 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revrank.dataset import GuestType, group_by_accommodation
-from revrank.encoder import DualEncoder, build_vocabulary, init_params, tokenize
+from revrank.encoder import (
+    UNK,
+    DualEncoder,
+    EncoderParams,
+    Vocabulary,
+    build_vocabulary,
+    init_params,
+)
 from revrank.evaluation import (
     DunnResult,
-    RankedList,
     average_ranks,
     detect_topics,
     dunn_posthoc,
@@ -25,40 +31,63 @@ from revrank.evaluation import (
     precision_at_k,
     random_scorer_expectation,
     rank_from_scores,
-    rank_group,
     topic_overlap_report,
 )
 
 from test_dataset import make_record
 
 
-def ranked_with_rank(m, j, rank):
-    """A RankedList of size m placing context j's own review at the rank."""
-    others = [i for i in range(m) if i != j]
-    order = others[: rank - 1] + [j] + others[rank - 1 :]
-    return RankedList(context_index=j, order=tuple(order), rank_of_own=rank)
+def order_of(row):
+    """Review positions of one score row, best first, from rank_from_scores.
+
+    Row i of the tiled matrix is ``row`` itself with review i as its own
+    entry, so the own-rank vector holds every review's rank in the row.
+    """
+    row = np.asarray(row, dtype=float)
+    ranks = rank_from_scores(np.tile(row, (len(row), 1)))
+    return tuple(int(i) for i in np.argsort(ranks))
 
 
-class TestRankedList:
-    def test_rejects_inconsistent_rank(self):
+def oracle_ranks(scores):
+    """Brute force: own rank of each row under the (-score, index) sort."""
+    ranks = []
+    for j, row in enumerate(scores):
+        order = sorted(range(len(row)), key=lambda i: (-row[i], i))
+        ranks.append(order.index(j) + 1)
+    return ranks
+
+
+class TestRankVectors:
+    def test_rejects_rank_below_one(self):
         with pytest.raises(ValueError):
-            RankedList(context_index=0, order=(1, 0), rank_of_own=1)
-
-    def test_rejects_non_permutation(self):
+            mrr([np.array([1, 0])])
         with pytest.raises(ValueError):
-            RankedList(context_index=0, order=(0, 0), rank_of_own=1)
+            precision_at_k([np.array([-1, 2])], 1)
+
+    def test_rejects_non_integer_or_non_vector_ranks(self):
+        with pytest.raises(ValueError):
+            mrr([np.array([1.0, 2.5])])
+        with pytest.raises(ValueError):
+            mrr([np.array([[1, 2], [2, 1]])])
+
+    def test_rejects_empty_input(self):
+        with pytest.raises(ValueError):
+            mrr([])
+        with pytest.raises(ValueError):
+            per_accommodation_mrr([np.array([], dtype=int)])
 
 
 class TestRankFromScores:
     def test_perfect_scorer(self):
-        ranked = rank_from_scores(np.eye(4))
-        assert all(rl.rank_of_own == 1 for rl in ranked)
+        ranks = rank_from_scores(np.eye(4))
+        assert all(r == 1 for r in ranks)
 
     def test_constant_scorer_uses_index_tiebreak(self):
-        ranked = rank_from_scores(np.full((3, 3), 0.5))
-        for j, rl in enumerate(ranked):
-            assert rl.order == (0, 1, 2)
-            assert rl.rank_of_own == j + 1
+        scores = np.full((3, 3), 0.5)
+        ranks = rank_from_scores(scores)
+        for j in range(3):
+            assert order_of(scores[j]) == (0, 1, 2)
+            assert ranks[j] == j + 1
 
     def test_hand_sorted_case(self):
         scores = np.array(
@@ -68,27 +97,111 @@ class TestRankFromScores:
                 [0.3, 0.3, 0.3],
             ]
         )
-        ranked = rank_from_scores(scores)
-        assert ranked[0].order == (1, 2, 0)
-        assert ranked[0].rank_of_own == 3
-        assert ranked[1].order == (0, 2, 1)  # tie 0.9/0.9 broken by index
-        assert ranked[1].rank_of_own == 3
-        assert ranked[2].order == (0, 1, 2)
-        assert ranked[2].rank_of_own == 3
+        ranks = rank_from_scores(scores)
+        assert order_of(scores[0]) == (1, 2, 0)
+        assert ranks[0] == 3
+        assert order_of(scores[1]) == (0, 2, 1)  # tie 0.9/0.9 broken by index
+        assert ranks[1] == 3
+        assert order_of(scores[2]) == (0, 1, 2)
+        assert ranks[2] == 3
+
+    def test_integer_vector_result(self):
+        ranks = rank_from_scores(np.eye(3))
+        assert ranks.shape == (3,)
+        assert ranks.dtype.kind == "i"
+        assert all(type(r) is int for r in ranks.tolist())
 
     def test_nonfinite_rejected(self):
         scores = np.array([[0.5, np.nan], [0.1, 0.2]])
         with pytest.raises(ValueError):
             rank_from_scores(scores)
 
+    def test_infinite_scores_ordered(self):
+        scores = np.array([[-np.inf, -np.inf, 0.0], [np.inf, -np.inf, 1.0], [0.0, 0.0, 0.0]])
+        assert rank_from_scores(scores).tolist() == oracle_ranks(scores.tolist())
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            rank_from_scores(np.zeros((2, 3)))
+
     @settings(max_examples=30)
     @given(seed=st.integers(0, 10_000), m=st.integers(2, 8))
     def test_strictly_increasing_transform_invariance(self, seed, m):
         rng = np.random.default_rng(seed)
         scores = rng.uniform(size=(m, m))
-        base = rank_from_scores(scores)
-        transformed = rank_from_scores(np.exp(3.0 * scores) + 7.0)
-        assert [rl.order for rl in base] == [rl.order for rl in transformed]
+        transformed = np.exp(3.0 * scores) + 7.0
+        assert rank_from_scores(scores).tolist() == rank_from_scores(transformed).tolist()
+        assert [order_of(row) for row in scores] == [order_of(row) for row in transformed]
+
+
+# Few distinct values, so that ties and signed zeros are common.
+TIE_VALUES = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0])
+
+
+@st.composite
+def score_matrices(draw, values=TIE_VALUES):
+    m = draw(st.integers(2, 40))
+    flat = draw(st.lists(values, min_size=m * m, max_size=m * m))
+    return np.array(flat, dtype=float).reshape(m, m)
+
+
+class TestRankProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(scores=score_matrices())
+    def test_matches_sort_oracle(self, scores):
+        assert rank_from_scores(scores).tolist() == oracle_ranks(scores.tolist())
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        scores=score_matrices(),
+        transform=st.sampled_from(
+            [lambda x: 3.0 * x + 7.0, np.exp, np.tanh, lambda x: x**3, lambda x: x + 0.0]
+        ),
+    )
+    def test_invariant_under_strictly_increasing_transform(self, scores, transform):
+        assert rank_from_scores(scores).tolist() == rank_from_scores(transform(scores)).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(votes=st.lists(st.integers(0, 3) | st.integers(0, 10**30), min_size=2, max_size=40))
+    def test_votes_ranking_matches_oracle(self, votes):
+        records = [make_record(acc_id="a", votes=v, title=f"r{i}") for i, v in enumerate(votes)]
+        group = group_by_accommodation(records)[0]
+        ranks = helpful_votes_ranking(group).tolist()
+        # every context shares the votes row, so row j's own entry is votes[j]
+        assert ranks == oracle_ranks([votes] * len(votes))
+
+    @settings(max_examples=60, deadline=None)
+    @given(scores=score_matrices(st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0])))
+    def test_compare_pick_is_first_non_own_entry(self, scores):
+        m = len(scores)
+        records = [make_record(acc_id="a", title=f"pick{i}") for i in range(m)]
+        groups = group_by_accommodation(records)
+        rows = topic_overlap_report(
+            groups, lambda g: scores, lambda g: scores.T, {}, n_samples=m, seed=0
+        )
+        titles = [f"pick{i}" for i in range(m)]
+        for row in rows:
+            j = row.context_index
+            for matrix, text in ((scores, row.model_text), (scores.T, row.baseline_text)):
+                order = sorted(range(m), key=lambda i: (-matrix[j][i], i))
+                expected = next(i for i in order if i != j)
+                assert text.startswith(titles[expected] + "\n")
+
+
+def marker_model():
+    """Dual encoder whose logit is positive exactly for (country Ci, review markeri)."""
+    tokens = ["c0", "c1", "c2", "marker0", "marker1", "marker2", UNK]
+    vocab = Vocabulary.from_tokens(tokens, min_frequency=1, max_size=10)
+    ctx_embedding = np.zeros((len(tokens), 3))
+    rev_embedding = np.zeros((len(tokens), 3))
+    for i in range(3):
+        ctx_embedding[i, i] = 100.0
+        rev_embedding[3 + i, i] = 100.0
+
+    def params(embedding):
+        return EncoderParams(embedding=embedding, projection=np.eye(3), bias=np.zeros(3))
+
+    return DualEncoder(vocab=vocab, context=params(ctx_embedding), review=params(rev_embedding))
 
 
 class TestRankGroup:
@@ -97,19 +210,13 @@ class TestRankGroup:
             make_record(acc_id="a", title=f"marker{i}", country=f"C{i}") for i in range(3)
         ]
         group = group_by_accommodation(records)[0]
-
-        def scorer(ctx, rev):
-            # guest_country Ci pairs with review title markeri
-            i = ctx.split("guest_country: C")[1][0]
-            return 1.0 if f"marker{i}" in rev else 0.0
-
-        ranked = rank_group(scorer, group)
-        assert all(rl.rank_of_own == 1 for rl in ranked)
+        ranks = model_rank_group(marker_model(), group)
+        assert all(r == 1 for r in ranks)
 
     def test_group_too_small(self):
         group = group_by_accommodation([make_record()])[0]
         with pytest.raises(ValueError):
-            rank_group(lambda c, r: 0.0, group)
+            model_rank_group(marker_model(), group)
 
 
 class TestVotesBaseline:
@@ -120,15 +227,16 @@ class TestVotesBaseline:
             make_record(acc_id="a", votes=2, title="r2"),
         ]
         group = group_by_accommodation(records)[0]
-        ranked = helpful_votes_ranking(group)
-        assert all(rl.order == (0, 2, 1) for rl in ranked)
-        assert [rl.rank_of_own for rl in ranked] == [1, 3, 2]
+        ranks = helpful_votes_ranking(group)
+        # one shared ordering: review i sits at position ranks[i]
+        assert tuple(np.argsort(ranks)) == (0, 2, 1)
+        assert ranks.tolist() == [1, 3, 2]
 
     def test_all_zero_votes_keeps_input_order(self):
         records = [make_record(acc_id="a", title=f"r{i}") for i in range(4)]
         group = group_by_accommodation(records)[0]
-        ranked = helpful_votes_ranking(group)
-        assert all(rl.order == (0, 1, 2, 3) for rl in ranked)
+        ranks = helpful_votes_ranking(group)
+        assert tuple(np.argsort(ranks)) == (0, 1, 2, 3)
 
     def test_large_vote_count_first(self):
         records = [
@@ -136,40 +244,28 @@ class TestVotesBaseline:
             make_record(acc_id="a", votes=91, title="r1"),
         ]
         group = group_by_accommodation(records)[0]
-        assert helpful_votes_ranking(group)[0].order == (1, 0)
+        assert tuple(np.argsort(helpful_votes_ranking(group))) == (1, 0)
 
 
 class TestMetrics:
     def test_all_rank_one(self):
-        groups = [[ranked_with_rank(3, j, 1) for j in range(3)]]
+        groups = [np.array([1, 1, 1])]
         assert mrr(groups) == 1.0
 
     def test_hand_case(self):
-        groups = [
-            [
-                ranked_with_rank(5, 0, 1),
-                ranked_with_rank(5, 1, 2),
-                ranked_with_rank(5, 2, 4),
-            ]
-        ]
+        groups = [np.array([1, 2, 4])]  # three contexts of a 5-review group
         assert mrr(groups) == pytest.approx(0.5833333333333334, abs=1e-9)
 
     def test_macro_average_over_accommodations(self):
         groups = [
-            [ranked_with_rank(2, 0, 1), ranked_with_rank(2, 1, 1)],  # MRR 1.0
-            [ranked_with_rank(2, 0, 2), ranked_with_rank(2, 1, 2)],  # MRR 0.5
+            np.array([1, 1]),  # MRR 1.0
+            np.array([2, 2]),  # MRR 0.5
         ]
         assert mrr(groups) == pytest.approx(0.75)
         assert per_accommodation_mrr(groups) == [1.0, 0.5]
 
     def test_precision_hand_case(self):
-        groups = [
-            [
-                ranked_with_rank(12, 0, 1),
-                ranked_with_rank(12, 1, 11),
-                ranked_with_rank(12, 2, 5),
-            ]
-        ]
+        groups = [np.array([1, 11, 5])]  # three contexts of a 12-review group
         assert precision_at_k(groups, 10) == pytest.approx(2 / 3)
         assert precision_at_k(groups, 1) == pytest.approx(1 / 3)
 
@@ -313,7 +409,7 @@ class TestEvaluateMethods:
 
     def test_report_structure(self):
         def perfect(group):
-            return [ranked_with_rank(len(group), j, 1) for j in range(len(group))]
+            return np.ones(len(group), dtype=int)
 
         report = evaluate_methods(
             [("votes", helpful_votes_ranking), ("perfect", perfect)],
@@ -350,9 +446,9 @@ class TestEvaluateMethods:
             context=init_params(d=8, d_e=8, vocab_size=len(vocab), seed=0),
             review=init_params(d=8, d_e=8, vocab_size=len(vocab), seed=1),
         )
-        ranked = model_rank_group(model, group)
-        assert len(ranked) == 4
-        assert all(1 <= rl.rank_of_own <= 4 for rl in ranked)
+        ranks = model_rank_group(model, group)
+        assert len(ranks) == 4
+        assert all(1 <= r <= 4 for r in ranks)
 
 
 LEXICON_TEXT = """\
@@ -408,14 +504,14 @@ class TestOverlapReport:
                 )
         return group_by_accommodation(records)
 
-    def perfect_ranker(self, group):
-        return [ranked_with_rank(len(group), j, 1) for j in range(len(group))]
+    def perfect_scorer(self, group):
+        return np.eye(len(group))
 
     def test_excludes_own_review(self):
         groups = self.overlap_groups()
         lex = parse_lexicon(LEXICON_TEXT)
         rows = topic_overlap_report(
-            groups, self.perfect_ranker, self.perfect_ranker, lex, n_samples=4, seed=0
+            groups, self.perfect_scorer, self.perfect_scorer, lex, n_samples=4, seed=0
         )
         assert len(rows) == 4
         for row in rows:
@@ -427,8 +523,8 @@ class TestOverlapReport:
         lex = parse_lexicon(LEXICON_TEXT)
         rows = topic_overlap_report(
             groups,
-            self.perfect_ranker,
-            self.perfect_ranker,
+            self.perfect_scorer,
+            self.perfect_scorer,
             lex,
             n_samples=8,
             seed=1,
@@ -443,20 +539,27 @@ class TestOverlapReport:
         groups = self.overlap_groups()
         lex = parse_lexicon(LEXICON_TEXT)
         rows = topic_overlap_report(
-            groups, self.perfect_ranker, self.perfect_ranker, lex, n_samples=2, seed=2
+            groups, self.perfect_scorer, self.perfect_scorer, lex, n_samples=2, seed=2
         )
         for row in rows:
             assert row.model_common == row.original_topics & row.model_topics
         text = format_overlap_table(rows)
         assert "common" in text
 
+    def test_bad_score_matrix_rejected(self):
+        groups = self.overlap_groups()
+        lex = parse_lexicon(LEXICON_TEXT)
+        for bad in (lambda g: np.eye(len(g) + 1), lambda g: np.full((len(g), len(g)), np.nan)):
+            with pytest.raises(ValueError):
+                topic_overlap_report(groups, bad, self.perfect_scorer, lex, n_samples=2, seed=0)
+
     def test_deterministic(self):
         groups = self.overlap_groups()
         lex = parse_lexicon(LEXICON_TEXT)
         a = topic_overlap_report(
-            groups, self.perfect_ranker, self.perfect_ranker, lex, n_samples=3, seed=9
+            groups, self.perfect_scorer, self.perfect_scorer, lex, n_samples=3, seed=9
         )
         b = topic_overlap_report(
-            groups, self.perfect_ranker, self.perfect_ranker, lex, n_samples=3, seed=9
+            groups, self.perfect_scorer, self.perfect_scorer, lex, n_samples=3, seed=9
         )
         assert a == b

@@ -1,16 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from revrank.dataset import GuestType
+from revrank.dataset import GuestType, group_by_accommodation
 from revrank.encoder import EncoderGradients, init_params, load_checkpoint
+from revrank.evaluation import model_rank_group, mrr
 from revrank.trainer import (
     PRESETS,
     AdamWState,
     TrainConfig,
     config_to_text,
-    config_with_overrides,
     lr_schedule,
     optimizer_step,
     parse_config_file,
@@ -78,7 +79,7 @@ class TestTrainConfig:
         path = tmp_path / "c.cfg"
         path.write_text(config_to_text(config), encoding="utf-8")
         overrides = parse_config_file(path)
-        assert config_with_overrides(TrainConfig(), overrides) == config
+        assert replace(TrainConfig(), **overrides) == config
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -218,6 +219,15 @@ class TestTrain:
         assert all(v is not None and 0.0 <= v <= 1.0 for v in mrrs)
         assert max(mrrs) == mrrs[result.best_epoch - 1]
 
+    def test_validation_mrr_matches_group_ranking(self):
+        # validation ranks pre-tokenized ids; evaluation ranks each group
+        records = learnable_records()
+        valid = learnable_records(n_acc=3, per_type=1)
+        result = train(records, valid, desk_config(epochs=2))
+        groups = [g for g in group_by_accommodation(valid) if len(g) >= 2]
+        expected = mrr([model_rank_group(result.model, g) for g in groups])
+        assert result.epochs[-1].val_mrr == expected
+
     def test_checkpoint_round_trip(self, tmp_path):
         records = learnable_records(n_acc=3, per_type=1)
         result = train(records, [], desk_config(epochs=1), out_dir=tmp_path)
@@ -225,6 +235,13 @@ class TestTrain:
         assert np.array_equal(loaded.context.embedding, result.model.context.embedding)
         assert np.array_equal(loaded.review.bias, result.model.review.bias)
         assert loaded.vocab.index == result.model.vocab.index
+
+    def test_checkpoint_tokens_are_plain_str(self, tmp_path):
+        records = learnable_records(n_acc=3, per_type=1)
+        result = train(records, [], desk_config(epochs=0), out_dir=tmp_path)
+        tokens = load_checkpoint(tmp_path / "final.npz").vocab.to_tokens()
+        assert tokens == result.model.vocab.to_tokens()
+        assert all(type(t) is str for t in tokens)
 
     def test_random_sampler_runs(self):
         records = learnable_records(n_acc=3, per_type=1)
@@ -245,7 +262,7 @@ class TestTrain:
         config = desk_config(epochs=1)
         train(records, [], config, out_dir=tmp_path)
         echoed = parse_config_file(tmp_path / "config.txt")
-        assert config_with_overrides(TrainConfig(), echoed) == config
+        assert replace(TrainConfig(), **echoed) == config
 
     def test_empty_training_split_rejected(self):
         with pytest.raises(ValueError):
