@@ -18,13 +18,29 @@ one ``np.bincount``, so it needs no dense |V| x d_e buffer per sequence.
 A trained model is a ``DualEncoder``: one shared vocabulary plus two
 independent parameter sets, one for contexts and one for reviews.
 Checkpoints are .npz archives; loading reproduces encode outputs bit-exactly.
+
+Loading maps the archive read-only instead of reading it.  ``np.savez``
+stores its members uncompressed, so for each member the loader takes the
+offset from the zip directory and the local header, checks the CRC-32 of
+the mapped bytes against the directory, and wraps the array data with
+``np.frombuffer``: the embedding tables are read-only views of the map,
+never copied.  A deflated member (``np.savez_compressed``) is inflated
+first.  Any fault in the archive's structure is a ``ValueError``.  The map
+lives as long as an array on it, so a checkpoint file must be replaced
+atomically (``atomic_write``), never rewritten in place while a model
+loaded from it is in use.
 """
 
 from __future__ import annotations
 
+import io
+import math
+import mmap
 import os
 import re
+import struct
 import zipfile
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,7 +85,9 @@ class Vocabulary:
         return self.index.get(token, self.unk_index)
 
     def encode_tokens(self, tokens: Sequence[str]) -> list[int]:
-        return [self.lookup(t) for t in tokens[:MAX_TOKENS]]
+        get = self.index.get
+        unk = self.index[UNK]
+        return [get(t, unk) for t in tokens[:MAX_TOKENS]]
 
     def encode_text(self, text: str) -> list[int]:
         """Token ids of a string: tokenized, truncated, looked up."""
@@ -83,7 +101,7 @@ class Vocabulary:
     @classmethod
     def from_tokens(cls, tokens: Sequence[str], min_frequency: int, max_size: int) -> "Vocabulary":
         return cls(
-            index={t: i for i, t in enumerate(tokens)},
+            index=dict(zip(tokens, range(len(tokens)))),
             min_frequency=min_frequency,
             max_size=max_size,
         )
@@ -281,38 +299,141 @@ def save_checkpoint(model: DualEncoder, path: str | Path) -> None:
         )
 
 
-def load_checkpoint(path: str | Path) -> DualEncoder:
-    """Load a checkpoint written by save_checkpoint."""
-    path = Path(path)
-    try:
-        data = np.load(path, allow_pickle=False)
-    except (ValueError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"{path}: not a checkpoint archive ({exc})") from exc
-    with data:
+_CHECKPOINT_ENTRIES = (
+    "format_version", "vocab_tokens", "vocab_min_frequency", "vocab_max_size",
+    "context_embedding", "context_projection", "context_bias",
+    "review_embedding", "review_projection", "review_bias",
+)
+_LOCAL_HEADER = struct.Struct("<4s2B4HL2L2H")  # zip local file header
+_LOCAL_HEADER_SIGNATURE = b"PK\x03\x04"
+_ENCRYPTED = 0x01  # zip general-purpose flag bit
+_NPY_MAX_HEADER = 10000  # np.load's default limit on a .npy header
+_NPY_PREFIX = 10 + _NPY_MAX_HEADER  # magic and version, length field, header
+
+
+def _npy_array(data: memoryview | bytes) -> np.ndarray:
+    """Read-only array over the bytes of a .npy file, without copying them.
+
+    As with ``np.load(allow_pickle=False)``, object arrays and headers over
+    numpy's default size limit are rejected.
+    """
+    stream = io.BytesIO(data[:_NPY_PREFIX])
+    # np.save writes version 1.0 unless the header needs over 65535 bytes,
+    # far beyond the size limit.
+    version = np.lib.format.read_magic(stream)
+    if version != (1, 0):
+        raise ValueError(f"unsupported .npy format version {version}")
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(
+        stream, max_header_size=_NPY_MAX_HEADER
+    )
+    if dtype.hasobject:
+        raise ValueError("object arrays cannot be loaded without pickle")
+    if any(n < 0 for n in shape):
+        raise ValueError(f"negative array dimension in shape {shape}")
+    count = math.prod(shape)
+    offset = stream.tell()
+    if offset + count * dtype.itemsize > len(data):
+        raise ValueError("array is larger than its member")
+    array = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
+    if fortran_order:
+        return array.reshape(shape[::-1]).T
+    return array.reshape(shape)
+
+
+def _member_bytes(mapped: mmap.mmap, info: zipfile.ZipInfo) -> memoryview | bytes:
+    """The uncompressed bytes of one zip member, their CRC-32 checked.
+
+    A stored member is a view of ``mapped``; a deflated one is inflated.
+    """
+    if info.flag_bits & _ENCRYPTED:
+        raise ValueError("encrypted member")
+    if info.compress_type not in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED):
+        raise ValueError(f"unsupported compression method {info.compress_type}")
+    start = info.header_offset
+    if not 0 <= start <= len(mapped) - _LOCAL_HEADER.size:
+        raise ValueError("member header lies outside the file")
+    fields = _LOCAL_HEADER.unpack(mapped[start:start + _LOCAL_HEADER.size])
+    if fields[0] != _LOCAL_HEADER_SIGNATURE:
+        raise ValueError("bad member header signature")
+    name_start = start + _LOCAL_HEADER.size
+    name_end = name_start + fields[10]
+    if mapped[name_start:name_end] != info.filename.encode():  # entry names are ASCII
+        raise ValueError("member name differs between directory and header")
+    data_start = name_end + fields[11]
+    data_end = data_start + info.compress_size
+    if data_end > len(mapped):
+        raise ValueError("member data lies outside the file")
+    data = memoryview(mapped)[data_start:data_end]
+    if info.compress_type == zipfile.ZIP_DEFLATED:
         try:
-            version = int(data["format_version"])
-            if version != CHECKPOINT_VERSION:
-                raise ValueError(
-                    f"checkpoint format version {version} not supported "
-                    f"(expected {CHECKPOINT_VERSION})"
-                )
-            vocab = Vocabulary.from_tokens(
-                data["vocab_tokens"].tolist(),
-                min_frequency=int(data["vocab_min_frequency"]),
-                max_size=int(data["vocab_max_size"]),
-            )
-            context = EncoderParams(
-                embedding=data["context_embedding"],
-                projection=data["context_projection"],
-                bias=data["context_bias"],
-            )
-            review = EncoderParams(
-                embedding=data["review_embedding"],
-                projection=data["review_projection"],
-                bias=data["review_bias"],
-            )
-        except KeyError as exc:
-            raise ValueError(f"{path}: checkpoint is missing entry {exc}") from exc
+            data = zlib.decompress(data, -zlib.MAX_WBITS)
+        except zlib.error as exc:
+            raise ValueError(f"corrupt compressed data ({exc})") from exc
+    if len(data) != info.file_size:
+        raise ValueError("member size differs from the directory")
+    if zlib.crc32(data) != info.CRC:
+        raise ValueError("bad CRC-32")
+    return data
+
+
+def _checkpoint_arrays(path: Path) -> dict[str, np.ndarray]:
+    """Every checkpoint entry of the .npz archive at ``path``, mapped read-only."""
+    with open(path, "rb") as handle:
+        try:
+            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        except ValueError as exc:  # an empty file cannot be mapped
+            raise ValueError(f"{path}: not a checkpoint archive ({exc})") from exc
+    # Reading the directory from the map, a seek outside it is a ValueError.
+    try:
+        archive = zipfile.ZipFile(mapped)
+    except (zipfile.BadZipFile, NotImplementedError, ValueError) as exc:
+        raise ValueError(f"{path}: not a checkpoint archive ({exc})") from exc
+    arrays = {}
+    with archive:
+        for name in _CHECKPOINT_ENTRIES:
+            try:
+                info = archive.getinfo(f"{name}.npy")
+            except KeyError:
+                raise ValueError(f"{path}: checkpoint is missing entry '{name}'") from None
+            try:
+                arrays[name] = _npy_array(_member_bytes(mapped, info))
+            except ValueError as exc:
+                raise ValueError(f"{path}: entry '{name}': {exc}") from exc
+    return arrays
+
+
+def load_checkpoint(path: str | Path) -> DualEncoder:
+    """Load a checkpoint written by save_checkpoint.
+
+    The tables are read-only views of a map of the file, which stays mapped
+    while any of them is alive; see the module docstring.
+    """
+    path = Path(path)
+    data = _checkpoint_arrays(path)
+    version = int(data["format_version"])
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(
+            f"checkpoint format version {version} not supported "
+            f"(expected {CHECKPOINT_VERSION})"
+        )
+    vocab = Vocabulary.from_tokens(
+        data["vocab_tokens"].tolist(),
+        min_frequency=int(data["vocab_min_frequency"]),
+        max_size=int(data["vocab_max_size"]),
+    )
+    # The small blocks are copied into aligned memory: numpy's matmul does
+    # not pass unaligned operands to BLAS, and its own loop sums in another
+    # order.  Embedding rows are only gathered, which copies them exactly.
+    context = EncoderParams(
+        embedding=data["context_embedding"],
+        projection=np.array(data["context_projection"]),
+        bias=np.array(data["context_bias"]),
+    )
+    review = EncoderParams(
+        embedding=data["review_embedding"],
+        projection=np.array(data["review_projection"]),
+        bias=np.array(data["review_bias"]),
+    )
     return DualEncoder(vocab=vocab, context=context, review=review)
 
 

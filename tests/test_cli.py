@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -368,6 +369,30 @@ class TestCorruptCheckpoint:
         assert code == 1
         err = capsys.readouterr().err
         assert "context latent dimension 4 does not match review latent dimension 5" in err
+
+    def test_flipped_table_byte_exit_1_one_line(self, corpus_csv, checkpoint_dir, tmp_path):
+        source = checkpoint_dir / "best.npz"
+        with zipfile.ZipFile(source) as archive:
+            member = archive.getinfo("context_embedding.npy")
+        raw = bytearray(source.read_bytes())
+        # The member's data starts under 100 bytes after its local header
+        # and is far longer, so this byte lies inside the table.
+        raw[member.header_offset + member.compress_size] ^= 0x01
+        damaged = tmp_path / "damaged.npz"
+        damaged.write_bytes(raw)
+        reviews, _ = TestRank().one_accommodation_csv(corpus_csv, tmp_path)
+        # A subprocess, so that a traceback on stderr is seen too.
+        env = dict(os.environ, PYTHONPATH=str(Path(revrank.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "revrank", "rank", "--checkpoint", str(damaged),
+             "--reviews", str(reviews), *CONTEXT_FLAGS],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            f"error: {damaged}: entry 'context_embedding': bad CRC-32"
+        ]
 
     def test_missing_checkpoint_exit_2(self, corpus_csv):
         code = main(["evaluate", "--checkpoint", "no/ckpt.npz",

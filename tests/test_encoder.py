@@ -69,6 +69,25 @@ class TestVocabulary:
         rebuilt = Vocabulary.from_tokens(vocab.to_tokens(), vocab.min_frequency, vocab.max_size)
         assert rebuilt.index == vocab.index
 
+    @pytest.mark.parametrize("index", [
+        {"a": 0, "b": 0, UNK: 2},  # a repeated id leaves a gap
+        {"a": 0, UNK: 2},
+        {"a": -1, UNK: 1},
+        {"a": 0, "b": 1},  # no UNK
+    ])
+    def test_rejects_malformed_index(self, index):
+        with pytest.raises(ValueError):
+            Vocabulary(index, min_frequency=1, max_size=10)
+
+    def test_from_tokens_rejects_repeated_token(self):
+        with pytest.raises(ValueError, match="dense"):
+            Vocabulary.from_tokens(["a", "b", "a", UNK], min_frequency=1, max_size=10)
+
+    @given(st.lists(st.sampled_from(["a", "b", "c", "zz", UNK, ""]), max_size=MAX_TOKENS + 5))
+    def test_encode_tokens_matches_lookup(self, tokens):
+        vocab = build_vocabulary([["c", "a", "b", "a"]], min_frequency=1, max_size=10)
+        assert vocab.encode_tokens(tokens) == [vocab.lookup(t) for t in tokens[:MAX_TOKENS]]
+
 
 def small_params(seed=0, vocab_size=10, d_e=4, d=4):
     return init_params(d=d, d_e=d_e, vocab_size=vocab_size, seed=seed)
