@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .config import layer_config
 from .contrastive import score_ids
 from .dataset import (
     group_by_accommodation,
@@ -44,9 +44,9 @@ from .evaluation import (
     parse_lexicon,
     topic_overlap_report,
 )
-from .synthgen import SynthConfig, generate, parse_synth_config_file, parse_synth_value
+from .synthgen import SynthConfig, generate
 from .textualize import serialize_context, serialize_review
-from .trainer import PRESETS, TrainConfig, parse_config_file, train
+from .trainer import LOSS_CHOICES, PRESETS, SAMPLER_CHOICES, TrainConfig, train
 
 
 class CliError(Exception):
@@ -106,24 +106,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_gen_synthetic(args) -> int:
-    overrides = {}
-    if args.config:
-        overrides.update(parse_synth_config_file(args.config))
-    if args.accommodations is not None:
-        overrides["n_accommodations"] = args.accommodations
-    if args.reviews is not None:
-        overrides["reviews_per_accommodation"] = parse_synth_value(
-            "reviews_per_accommodation", args.reviews
-        )
-    if args.signal is not None:
-        overrides["signal_strength"] = args.signal
-    if args.vote_fraction is not None:
-        overrides["vote_fraction"] = args.vote_fraction
-    if args.score_noise is not None:
-        overrides["score_noise"] = args.score_noise
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    config = SynthConfig(**overrides)
+    config = layer_config(SynthConfig(), args.config, vars(args))
     records = generate(config)
     write_csv(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
@@ -134,24 +117,9 @@ def cmd_gen_synthetic(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = PRESETS[args.preset] if args.preset else TrainConfig()
-    if args.config:
-        config = replace(config, **parse_config_file(args.config))
-    flag_overrides = {
-        "learning_rate": args.learning_rate,
-        "weight_decay": args.weight_decay,
-        "warmup_fraction": args.warmup_fraction,
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "loss": args.loss,
-        "sampler": args.sampler and args.sampler.replace("-", "_"),
-        "seed": args.seed,
-        "d": args.d,
-        "d_e": args.d_e,
-        "min_frequency": args.min_frequency,
-        "max_vocab_size": args.max_vocab_size,
-    }
-    config = replace(config, **{k: v for k, v in flag_overrides.items() if v is not None})
+    base = PRESETS[args.preset] if args.preset else TrainConfig()
+    flags = vars(args) | {"sampler": args.sampler and args.sampler.replace("-", "_")}
+    config = layer_config(base, args.config, flags)
 
     records = _load_records(args.data)
     fractions = _parse_fractions(args.split)
@@ -309,9 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-synthetic", help="generate a synthetic review corpus")
     p.add_argument("--out", required=True, help="CSV path to write")
     p.add_argument("--config", help="key=value generator config file")
-    p.add_argument("--accommodations", type=int, help="number of accommodations")
-    p.add_argument("--reviews", help="reviews per accommodation, N or LO..HI")
-    p.add_argument("--signal", type=float, help="planted signal strength in [0,1]")
+    # Each dest names the SynthConfig field it sets; the metavar shows the flag's name.
+    p.add_argument("--accommodations", type=int, dest="n_accommodations",
+                   metavar="ACCOMMODATIONS", help="number of accommodations")
+    p.add_argument("--reviews", dest="reviews_per_accommodation", metavar="REVIEWS",
+                   help="reviews per accommodation, N or LO..HI")
+    p.add_argument("--signal", type=float, dest="signal_strength", metavar="SIGNAL",
+                   help="planted signal strength in [0,1]")
     p.add_argument("--vote-fraction", type=float, help="fraction of reviews with votes")
     p.add_argument("--score-noise", type=float,
                    help="std of review scores around the accommodation score")
@@ -331,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup-fraction", type=float)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
-    p.add_argument("--loss", choices=("infonce", "bce"))
-    p.add_argument("--sampler", choices=("random", "in-accommodation"))
+    p.add_argument("--loss", choices=LOSS_CHOICES)
+    p.add_argument("--sampler", choices=[s.replace("_", "-") for s in SAMPLER_CHOICES])
     p.add_argument("--seed", type=int)
     p.add_argument("--d", type=int, help="latent dimension")
     p.add_argument("--d-e", type=int, help="token embedding dimension")

@@ -299,11 +299,14 @@ def save_checkpoint(model: DualEncoder, path: str | Path) -> None:
         )
 
 
-_CHECKPOINT_ENTRIES = (
-    "format_version", "vocab_tokens", "vocab_min_frequency", "vocab_max_size",
-    "context_embedding", "context_projection", "context_bias",
-    "review_embedding", "review_projection", "review_bias",
-)
+# Each checkpoint entry, with its rank and the kinds of dtype it may have.
+_CHECKPOINT_ENTRIES = {
+    "format_version": (0, "iu"), "vocab_tokens": (1, "U"),
+    "vocab_min_frequency": (0, "iu"), "vocab_max_size": (0, "iu"),
+    "context_embedding": (2, "f"), "context_projection": (2, "f"), "context_bias": (1, "f"),
+    "review_embedding": (2, "f"), "review_projection": (2, "f"), "review_bias": (1, "f"),
+}
+_KIND_NAMES = {"iu": "integer", "U": "string", "f": "real floating"}
 _LOCAL_HEADER = struct.Struct("<4s2B4HL2L2H")  # zip local file header
 _LOCAL_HEADER_SIGNATURE = b"PK\x03\x04"
 _ENCRYPTED = 0x01  # zip general-purpose flag bit
@@ -390,21 +393,27 @@ def _checkpoint_arrays(path: Path) -> dict[str, np.ndarray]:
         raise ValueError(f"{path}: not a checkpoint archive ({exc})") from exc
     arrays = {}
     with archive:
-        for name in _CHECKPOINT_ENTRIES:
+        for name, (ndim, kinds) in _CHECKPOINT_ENTRIES.items():
             try:
                 info = archive.getinfo(f"{name}.npy")
             except KeyError:
                 raise ValueError(f"{path}: checkpoint is missing entry '{name}'") from None
             try:
-                arrays[name] = _npy_array(_member_bytes(mapped, info))
+                array = _npy_array(_member_bytes(mapped, info))
+                if array.ndim != ndim or array.dtype.kind not in kinds:
+                    raise ValueError(f"expected a {ndim}-d {_KIND_NAMES[kinds]} array, "
+                                     f"got a {array.ndim}-d {array.dtype} array")
             except ValueError as exc:
                 raise ValueError(f"{path}: entry '{name}': {exc}") from exc
+            arrays[name] = array
     return arrays
 
 
 def load_checkpoint(path: str | Path) -> DualEncoder:
     """Load a checkpoint written by save_checkpoint.
 
+    Every entry must have its rank and kind of dtype: integer scalars, a
+    1-d string array of tokens, and real floating tables.
     The tables are read-only views of a map of the file, which stays mapped
     while any of them is alive; see the module docstring.
     """

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -119,8 +118,8 @@ class SynthConfig:
             raise ValueError(f"signal_strength outside [0, 1]: {self.signal_strength}")
         if not 0.0 <= self.vote_fraction <= 1.0:
             raise ValueError(f"vote_fraction outside [0, 1]: {self.vote_fraction}")
-        if self.score_noise < 0:
-            raise ValueError(f"score_noise must be >= 0, got {self.score_noise}")
+        if not (math.isfinite(self.score_noise) and self.score_noise >= 0):
+            raise ValueError(f"score_noise must be finite and >= 0, got {self.score_noise}")
         if set(self.segment_lexicons) != set(GuestType):
             raise ValueError("segment_lexicons must cover every guest type")
         pools = [tuple(self.background_lexicon)] + [
@@ -136,51 +135,6 @@ class SynthConfig:
                 if token in seen:
                     raise ValueError(f"lexicons are not pairwise disjoint: {token!r}")
                 seen.add(token)
-
-
-# Scalar knobs exposed in the key=value config format.  The lexicons are
-# code-level defaults; custom lexicons are constructor-only.
-_CONFIG_FIELDS = {
-    "n_accommodations": int,
-    "signal_strength": float,
-    "seed": int,
-    "vote_fraction": float,
-    "score_noise": float,
-}
-
-
-def parse_synth_value(key: str, raw: str):
-    raw = raw.strip()
-    if key == "reviews_per_accommodation":
-        lo, sep, hi = raw.partition("..")
-        return (int(lo), int(hi)) if sep else (int(raw), int(raw))
-    if key not in _CONFIG_FIELDS:
-        raise ValueError(f"unknown config key {key!r}")
-    return _CONFIG_FIELDS[key](raw)
-
-
-def parse_synth_config_file(path: str | Path) -> dict:
-    """Flat ``key = value`` config file; '#' starts a comment line."""
-    overrides = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}: line {line_no} is not a key=value pair: {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        overrides[key] = parse_synth_value(key, value)
-    return overrides
-
-
-def synth_config_to_text(config: SynthConfig) -> str:
-    """Stable key=value echo of the scalar generator knobs."""
-    lo, hi = config.reviews_per_accommodation
-    lines = [f"reviews_per_accommodation = {lo}..{hi}"]
-    for key in _CONFIG_FIELDS:
-        lines.append(f"{key} = {getattr(config, key)}")
-    return "\n".join(sorted(lines)) + "\n"
 
 
 def _draw_tokens(rng, n, segment, background, signal):

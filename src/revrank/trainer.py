@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .config import config_to_text
 from .contrastive import LOSSES, interaction_matrix, score_ids
 from .dataset import ReviewRecord, group_by_accommodation
 from .encoder import (
@@ -38,7 +39,7 @@ from .evaluation import mrr, rank_from_scores, record_ids
 from .sampling import in_accommodation_epoch, random_epoch
 from .textualize import serialize_record
 
-LOSS_CHOICES = ("infonce", "bce")
+LOSS_CHOICES = tuple(LOSSES)
 SAMPLER_CHOICES = ("random", "in_accommodation")
 
 
@@ -61,10 +62,10 @@ class TrainConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not 0 <= self.warmup_fraction < 1:
             raise ValueError(
                 f"warmup_fraction must be in [0, 1), got {self.warmup_fraction}"
@@ -83,6 +84,8 @@ class TrainConfig:
             raise ValueError(f"dimensions must be positive, got d={self.d} d_e={self.d_e}")
         if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
             raise ValueError("moment coefficients must be in [0, 1)")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
 
 
 # The paper-scale preset keeps the published fine-tuning hyperparameters;
@@ -91,42 +94,6 @@ PRESETS = {
     "paper": TrainConfig(learning_rate=3e-5, batch_size=64),
     "desk": TrainConfig(learning_rate=1e-2, batch_size=16),
 }
-
-_CONFIG_FIELDS = {f.name: f.type for f in fields(TrainConfig)}
-
-
-def parse_config_value(key: str, raw: str):
-    if key not in _CONFIG_FIELDS:
-        raise ValueError(f"unknown config key {key!r}")
-    kind = _CONFIG_FIELDS[key]
-    raw = raw.strip()
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    return raw
-
-
-def parse_config_file(path: str | Path) -> dict:
-    """Flat ``key = value`` config file; '#' starts a comment line."""
-    overrides = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}: line {line_no} is not a key=value pair: {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        overrides[key] = parse_config_value(key, value)
-    return overrides
-
-
-def config_to_text(config: TrainConfig) -> str:
-    """Stable key=value echo of a config (inverse of parse_config_file)."""
-    lines = [f"{f.name} = {getattr(config, f.name)}" for f in fields(TrainConfig)]
-    return "\n".join(lines) + "\n"
-
 
 def lr_schedule(step: int, total_steps: int, base_lr: float, warmup_fraction: float) -> float:
     """Linear ramp 0 -> base_lr over the warmup steps, then constant."""
@@ -296,7 +263,8 @@ def train(
     written to ``out_dir`` as best.npz / final.npz alongside the training
     log, the vocabulary, and a config echo when a directory is given.  Each
     file is replaced atomically, so a failed write leaves no partial file
-    behind.
+    behind.  Non-finite batch embeddings, batch loss or validation scores
+    raise FloatingPointError("training diverged at epoch E ...").
     """
     model = initialize_model(train_records, config)
     groups = group_by_accommodation(train_records)
@@ -328,8 +296,10 @@ def train(
             rev_batch = [review_ids[i] for i in batch.indices]
             contexts = encode_batch_ids(model.context, ctx_batch)
             reviews = encode_batch_ids(model.review, rev_batch)
-            out = loss_fn(interaction_matrix(contexts, reviews))
-            if not math.isfinite(out.loss):
+            out = None
+            if np.all(np.isfinite(contexts)) and np.all(np.isfinite(reviews)):
+                out = loss_fn(interaction_matrix(contexts, reviews))
+            if out is None or not math.isfinite(out.loss):
                 acc = batch.accommodation_id or "-"
                 raise FloatingPointError(
                     f"training diverged at epoch {epoch} batch {b_idx} "
@@ -345,7 +315,12 @@ def train(
 
         val_mrr = None
         if valid_groups:
-            val_mrr = mrr([rank_from_scores(score_ids(model, *ids)) for ids in valid_ids])
+            val_scores = [score_ids(model, *ids) for ids in valid_ids]
+            if not all(np.all(np.isfinite(scores)) for scores in val_scores):
+                raise FloatingPointError(
+                    f"training diverged at epoch {epoch}: validation scores are not finite"
+                )
+            val_mrr = mrr([rank_from_scores(scores) for scores in val_scores])
             if val_mrr > best_val:
                 best_val = val_mrr
                 result.best_model = model.copy()

@@ -171,6 +171,23 @@ class TestRejectedArchives:
         with pytest.raises(ValueError, match="context_bias.*larger than its member"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("name, array", [
+        ("format_version", np.array([1, 2])),
+        ("format_version", np.array(1.0)),
+        ("vocab_min_frequency", np.array([[1]])),
+        ("vocab_max_size", np.array(True)),
+        ("vocab_tokens", np.array([b"a", b"b", UNK.encode()])),
+        ("vocab_tokens", np.array([["a", "b", UNK]])),
+        ("context_embedding", tiny_model().context.embedding.astype(np.complex128)),
+        ("review_projection", tiny_model().review.projection.ravel()),
+        ("review_bias", np.zeros(2, dtype=np.int64)),
+    ])
+    def test_entry_of_wrong_rank_or_dtype(self, tmp_path, name, array):
+        path = tmp_path / "kind.npz"
+        write_members(path, self.members(**{name: npy_bytes(array)}))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: entry '{name}': expected"):
+            load_checkpoint(path)
+
     def test_missing_entry(self, tmp_path):
         members = self.members()
         del members["review_bias"]

@@ -200,6 +200,23 @@ class TestTrain:
         assert len(lines) == 1
         assert lines[0].startswith("error: training diverged at epoch 1 batch ")
 
+    def test_divergence_in_embeddings_exit_1_one_line(self, tmp_path):
+        # On this corpus the embeddings overflow before the loss turns
+        # non-finite; that is reported as divergence too.
+        corpus = tmp_path / "corpus.csv"
+        assert main(["gen-synthetic", "--out", str(corpus), "--accommodations", "20",
+                     "--reviews", "12", "--seed", "1"]) == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(revrank.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "revrank", "train", "--data", str(corpus),
+             "--preset", "desk", "--learning-rate", "1e8", "--d", "8", "--d-e", "8"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: training diverged at epoch ")
+
     def test_checkpoint_layout(self, checkpoint_dir):
         names = sorted(p.name for p in checkpoint_dir.iterdir())
         assert names == ["best.npz", "config.txt", "final.npz",
@@ -398,3 +415,19 @@ class TestCorruptCheckpoint:
         code = main(["evaluate", "--checkpoint", "no/ckpt.npz",
                      "--data", str(corpus_csv), "--methods", "model"])
         assert code == 2
+
+
+HELP_DIR = Path(__file__).parent / "data" / "help"
+
+
+@pytest.mark.parametrize(
+    "subcommand", ["ingest", "gen-synthetic", "train", "evaluate", "rank", "compare"]
+)
+def test_help_text_is_unchanged(subcommand, monkeypatch, capsys):
+    """The --help text of each subcommand is part of the CLI contract."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main([subcommand, "--help"])
+    assert exit_info.value.code == 0
+    expected = (HELP_DIR / f"{subcommand}.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected

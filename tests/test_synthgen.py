@@ -55,6 +55,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="signal_strength"):
             SynthConfig(signal_strength=1.5)
 
+    @pytest.mark.parametrize("noise", [-0.1, math.inf, math.nan])
+    def test_score_noise_finite_and_non_negative(self, noise):
+        with pytest.raises(ValueError, match="score_noise"):
+            SynthConfig(score_noise=noise)
+
     def test_empty_lexicon_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             SynthConfig(background_lexicon=())

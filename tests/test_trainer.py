@@ -7,14 +7,13 @@ import pytest
 from revrank.dataset import GuestType, group_by_accommodation
 from revrank.encoder import EncoderGradients, init_params, load_checkpoint
 from revrank.evaluation import model_rank_group, mrr
+from revrank.config import config_to_text, parse_config_file
 from revrank.trainer import (
     PRESETS,
     AdamWState,
     TrainConfig,
-    config_to_text,
     lr_schedule,
     optimizer_step,
-    parse_config_file,
     train,
 )
 
@@ -73,24 +72,33 @@ class TestTrainConfig:
             TrainConfig(sampler="stratified")
         with pytest.raises(ValueError):
             TrainConfig(epochs=-1)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="learning_rate"):
+                TrainConfig(learning_rate=bad)
+        for bad in (-0.1, math.inf, math.nan):
+            with pytest.raises(ValueError, match="weight_decay"):
+                TrainConfig(weight_decay=bad)
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="eps"):
+                TrainConfig(eps=bad)
 
     def test_config_text_round_trip(self, tmp_path):
         config = TrainConfig(learning_rate=3e-5, loss="infonce", seed=7)
         path = tmp_path / "c.cfg"
         path.write_text(config_to_text(config), encoding="utf-8")
-        overrides = parse_config_file(path)
+        overrides = parse_config_file(TrainConfig, path)
         assert replace(TrainConfig(), **overrides) == config
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("momentum = 0.9\n", encoding="utf-8")
         with pytest.raises(ValueError, match="momentum"):
-            parse_config_file(path)
+            parse_config_file(TrainConfig, path)
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("# a comment\n\nepochs = 2\n", encoding="utf-8")
-        assert parse_config_file(path) == {"epochs": 2}
+        assert parse_config_file(TrainConfig, path) == {"epochs": 2}
 
 
 class TestLrSchedule:
@@ -261,7 +269,7 @@ class TestTrain:
         records = learnable_records(n_acc=2, per_type=1)
         config = desk_config(epochs=1)
         train(records, [], config, out_dir=tmp_path)
-        echoed = parse_config_file(tmp_path / "config.txt")
+        echoed = parse_config_file(TrainConfig, tmp_path / "config.txt")
         assert replace(TrainConfig(), **echoed) == config
 
     def test_empty_training_split_rejected(self):
