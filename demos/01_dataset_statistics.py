@@ -12,10 +12,10 @@ import tempfile
 from pathlib import Path
 
 from revrank.dataset import (
-    format_statistics_table,
     group_by_accommodation,
     load_csv,
     split_dataset,
+    statistics_key_values,
     validate_statistics,
     write_csv,
 )
@@ -50,7 +50,7 @@ for rejection in lenient.rejections:
 # The statistics report covers every column plus corpus-level checks.
 stats = validate_statistics(loaded.records)
 print()
-print(format_statistics_table(stats))
+print(statistics_key_values(stats))
 
 # Splitting assigns whole accommodations, never individual reviews, so a
 # property's reviews are always on the same side of the fence.

@@ -82,5 +82,5 @@ print(f"InfoNCE at extreme scores stays finite: {info_nce_loss(big).loss:.6f}")
 # matrix product: the context is encoded once, each review once.
 model = DualEncoder(vocab=vocab, context=ctx_params, review=rev_params)
 scores = score_ids(model, [vocab.encode_text(contexts_text[2])],
-                   [vocab.encode_text(t) for t in reviews_text])
+                   [vocab.encode_text(t) for t in reviews_text]).values
 print(f"deployed scores for guest 2: {np.round(scores[0], 4)}")

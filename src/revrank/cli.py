@@ -7,7 +7,8 @@ accommodation), and ``compare`` (topic-overlap table between two
 checkpoints).
 
 Exit codes are a stable contract: 0 success, 1 domain or validation
-failure (bad flags included), 2 I/O failure.  Every subcommand is
+failure (bad flags and a model whose encodings are not finite included),
+2 I/O failure.  A failure writes one line to stderr.  Every subcommand is
 deterministic given identical inputs, flags, and seeds.
 """
 
@@ -227,7 +228,7 @@ def cmd_rank(args) -> int:
     reviews = [serialize_review(r.review) for r in group.records]
     scores = score_ids(
         model, [model.vocab.encode_text(context)], [model.vocab.encode_text(t) for t in reviews]
-    )[0]
+    ).values[0]
     order = np.argsort(-scores, kind="stable")  # ties keep record order
     print(f"# accommodation={group.accommodation_id} reviews={len(scores)}")
     for position, idx in enumerate(order[: args.top].tolist(), start=1):
@@ -350,6 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A failure is reported by the one stderr line below; numpy's overflow
+# warnings on the way to a non-finite model would only repeat it there.
+@np.errstate(over="ignore", invalid="ignore")
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:

@@ -1,9 +1,12 @@
 """Interaction matrix and contrastive losses.
 
-For a batch of N (context, review) embedding pairs the interaction matrix is
-F[i][j] = sigmoid(c_i . r_j); the diagonal holds the true pairs.  Two losses
-against the implicit identity target are provided, each returning exact
-gradients with respect to both embedding batches:
+``interaction_matrix`` is the one place where embeddings become scores:
+for N context and M review embeddings it holds F[i][j] = sigmoid(c_i . r_j),
+an N x M matrix.  Training, validation and every reader score through it,
+by way of ``score_ids``.  In a training batch N = M and the diagonal holds
+the true pairs.  Two losses against the implicit identity target are
+provided, each returning exact gradients with respect to both embedding
+batches, and each rejecting a non-square matrix:
 
 * InfoNCE, applied to the sigmoid outputs exactly as the training objective
   is defined here (no temperature, exp over values in (0,1)).  A consequence
@@ -13,7 +16,9 @@ gradients with respect to both embedding batches:
 
 Dot products are clamped to [-30, 30] before the sigmoid; within that range
 the sigmoid gradient F(1-F) is exact, and outside it the clamp zeroes the
-gradient (the forward value is saturated anyway).
+gradient (the forward value is saturated anyway).  An infinite dot product
+saturates the same way, but a non-finite embedding or a NaN dot product
+raises FloatingPointError.
 """
 
 from __future__ import annotations
@@ -33,14 +38,18 @@ BCE_EPS = 1e-12
 class Interaction:
     """Forward intermediates of interaction_matrix, kept for backward."""
 
-    values: np.ndarray  # F, N x N in (0,1)
+    values: np.ndarray  # F, N x M in (0,1); N x N in a training batch
     unclamped: np.ndarray  # raw dot products Z
     contexts: np.ndarray  # N x d
-    reviews: np.ndarray  # N x d
+    reviews: np.ndarray  # M x d
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        """Batch size of a square interaction; a loss cannot use N x M."""
+        n, m = self.values.shape
+        if n != m:
+            raise ValueError(f"a loss needs a square interaction matrix, got {n} x {m}")
+        return n
 
 
 @dataclass
@@ -51,27 +60,36 @@ class LossOutput:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Numerically stable logistic function.
+
+    With e = exp(-|x|), which cannot overflow, it is 1 / (1 + e) where
+    x >= 0 and e / (1 + e) elsewhere.  Each step runs in place over the
+    whole array: a reader scores a 500 x 500 group while its dot products
+    are still held, and fewer temporaries keep that cheap.
+    """
+    x = np.asarray(x, dtype=float)
+    e = np.negative(np.abs(x))
+    np.exp(e, out=e)
+    denominator = e + 1.0
+    np.divide(e, denominator, out=e)
+    np.divide(1.0, denominator, out=e, where=x >= 0)
+    return e
 
 
 def interaction_matrix(contexts: np.ndarray, reviews: np.ndarray) -> Interaction:
-    """F[i][j] = sigmoid(c_i . r_j) over two N x d embedding batches."""
+    """F[i][j] = sigmoid(clip(c_i . r_j, +-30)) over N x d and M x d batches."""
     contexts = np.asarray(contexts, dtype=float)
     reviews = np.asarray(reviews, dtype=float)
-    if contexts.shape != reviews.shape or contexts.ndim != 2:
+    if contexts.ndim != 2 or reviews.ndim != 2 or contexts.shape[1] != reviews.shape[1]:
         raise ValueError(
-            f"embedding batches must share an (N, d) shape, got "
+            f"embedding batches must be (N, d) and (M, d), got "
             f"{contexts.shape} and {reviews.shape}"
         )
     if not (np.all(np.isfinite(contexts)) and np.all(np.isfinite(reviews))):
-        raise ValueError("non-finite embeddings")
+        raise FloatingPointError("non-finite embeddings")
     z = contexts @ reviews.T
+    if np.isnan(z).any():
+        raise FloatingPointError("NaN dot products")
     f = sigmoid(np.clip(z, -SIGMOID_CLAMP, SIGMOID_CLAMP))
     return Interaction(values=f, unclamped=z, contexts=contexts, reviews=reviews)
 
@@ -142,12 +160,14 @@ def score_ids(
     model: DualEncoder,
     context_ids: Sequence[Sequence[int]],
     review_ids: Sequence[Sequence[int]],
-) -> np.ndarray:
-    """Deployed scoring rule over token ids: sigmoid(clip(C R^T, +-30)).
+) -> Interaction:
+    """The interaction matrix of a model over token ids.
 
-    Row i scores context i against every review; each sequence is encoded
-    once, and all dot products come from one matrix product.
+    Row i of ``.values`` scores context i against every review; each
+    sequence is encoded once, and all dot products come from one matrix
+    product.
     """
-    contexts = encode_batch_ids(model.context, context_ids)
-    reviews = encode_batch_ids(model.review, review_ids)
-    return sigmoid(np.clip(contexts @ reviews.T, -SIGMOID_CLAMP, SIGMOID_CLAMP))
+    return interaction_matrix(
+        encode_batch_ids(model.context, context_ids),
+        encode_batch_ids(model.review, review_ids),
+    )

@@ -529,35 +529,6 @@ def validate_statistics(records: Sequence[ReviewRecord]) -> DatasetStatistics:
     return stats
 
 
-def format_statistics_table(stats: DatasetStatistics) -> str:
-    """Human-readable fixed-width statistics table."""
-    headers = ("field", "unique", "mean", "mode", "min", "max")
-    rows = [headers]
-    for name, fs in stats.fields.items():
-        rows.append(
-            (
-                name,
-                str(fs.unique_count),
-                "-" if fs.mean is None else f"{fs.mean:.4f}",
-                fs.mode,
-                "-" if fs.minimum is None else f"{fs.minimum:g}",
-                "-" if fs.maximum is None else f"{fs.maximum:g}",
-            )
-        )
-    widths = [max(len(row[i]) for row in rows) for i in range(len(headers))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
-    lines.append("")
-    lines.append(f"records: {stats.n_records}")
-    lines.append(f"accommodations: {stats.n_accommodations}")
-    lines.append(f"voted_fraction: {stats.voted_fraction:.4f}")
-    if stats.small_accommodations:
-        lines.append(
-            f"accommodations below {MIN_REVIEWS_PER_ACCOMMODATION} reviews: "
-            f"{len(stats.small_accommodations)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def statistics_key_values(stats: DatasetStatistics) -> str:
     """Machine-readable ``key=value`` rendering of the statistics report."""
     lines = [

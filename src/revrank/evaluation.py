@@ -33,7 +33,7 @@ from scipy.special import gammaincc
 from .contrastive import score_ids
 from .dataset import AccommodationGroup, ReviewRecord
 from .encoder import DualEncoder, Vocabulary, tokenize
-from .textualize import serialize_record
+from .textualize import review_text, serialize_record
 
 # Both map one accommodation group to an array: a rank vector (one own-review
 # rank per context) or an m x m score matrix (rows: contexts).
@@ -73,7 +73,7 @@ def record_ids(
 
 def model_scores(model: DualEncoder, group: AccommodationGroup) -> np.ndarray:
     """Pairwise sigmoid scores for a group, encoding each text once."""
-    return score_ids(model, *record_ids(model.vocab, group.records))
+    return score_ids(model, *record_ids(model.vocab, group.records)).values
 
 
 def model_rank_group(model: DualEncoder, group: AccommodationGroup) -> np.ndarray:
@@ -390,15 +390,6 @@ class OverlapRow:
         return self.original_topics & self.baseline_topics
 
 
-def _review_text(record) -> str:
-    parts = [
-        record.review.review_title,
-        record.review.review_positive,
-        record.review.review_negative,
-    ]
-    return "\n".join(p for p in parts if p)
-
-
 def _top_other(scores: np.ndarray, j: int) -> int:
     """Context j's best-scored review other than its own.
 
@@ -483,9 +474,9 @@ def topic_overlap_report(
         group = eligible[g_idx]
         model_pick_index = _top_other(scores_for(g_idx, "model", model_scorer), j)
         base_pick_index = _top_other(scores_for(g_idx, "baseline", baseline_scorer), j)
-        original = _review_text(group.records[j])
-        model_pick = _review_text(group.records[model_pick_index])
-        base_pick = _review_text(group.records[base_pick_index])
+        original = review_text(group.records[j].review)
+        model_pick = review_text(group.records[model_pick_index].review)
+        base_pick = review_text(group.records[base_pick_index].review)
         rows.append(
             OverlapRow(
                 accommodation_id=group.accommodation_id,

@@ -8,9 +8,9 @@ every batch contains reviews of one property only, merging a trailing
 singleton upward into the previous chunk; accommodations with fewer than two
 records are skipped and reported.
 
-Batches hold indices into the record list they were planned from; pair
-texts are materialized on demand.  Plans are deterministic functions of
-(records, batch_size, seed) and serializable to a text manifest.
+Batches hold indices into the record list they were planned from.  Plans
+are deterministic functions of (records, batch_size, seed) and serializable
+to a text manifest.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import AccommodationGroup, ReviewRecord
-from .textualize import serialize_record
 
 
 @dataclass(frozen=True)
@@ -35,10 +34,6 @@ class Batch:
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    def materialize(self, records: Sequence[ReviewRecord]) -> list[tuple[str, str]]:
-        """(context_text, review_text) pairs for this batch."""
-        return [serialize_record(records[i]) for i in self.indices]
 
 
 @dataclass(frozen=True)

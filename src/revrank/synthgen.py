@@ -40,6 +40,7 @@ from .dataset import (
 )
 from .encoder import tokenize
 from .evaluation import mrr, rank_from_scores
+from .textualize import review_text
 
 DEFAULT_SEGMENT_LEXICONS: dict[GuestType, tuple[str, ...]] = {
     GuestType.SOLO_TRAVELLER: (
@@ -212,19 +213,6 @@ def generate(config: SynthConfig) -> list[ReviewRecord]:
     return records
 
 
-def _review_tokens(record: ReviewRecord) -> list[str]:
-    text = " ".join(
-        p
-        for p in (
-            record.review.review_title,
-            record.review.review_positive,
-            record.review.review_negative,
-        )
-        if p
-    )
-    return tokenize(text)
-
-
 def token_log_likelihood(
     tokens: Sequence[str], guest_type: GuestType, config: SynthConfig
 ) -> float:
@@ -253,7 +241,7 @@ def bayes_optimal_mrr(config: SynthConfig, records: Sequence[ReviewRecord] | Non
         records = generate(config)
     rank_vectors = []
     for group in group_by_accommodation(records):
-        tokens = [_review_tokens(r) for r in group.records]
+        tokens = [tokenize(review_text(r.review)) for r in group.records]
         scores = [
             [token_log_likelihood(t, r.guest.guest_type, config) for t in tokens]
             for r in group.records

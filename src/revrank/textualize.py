@@ -7,6 +7,8 @@ fixed order; fields whose value is an empty string are skipped.  Formatting
 is exact so serialized strings can serve as byte-level regression fixtures:
 scores and ratings use one decimal place, counts are plain integers,
 booleans are "true"/"false", and enums use their display labels.
+``review_text`` is a review's free text alone, without field names, as
+topic detection and the synthetic corpus's Bayes oracle read it.
 """
 
 from __future__ import annotations
@@ -42,6 +44,12 @@ def serialize_review(review: Review) -> str:
         parts.append(_line("review_negative", review.review_negative))
     parts.append(_line("review_score", _real(review.review_score)))
     return "".join(parts)
+
+
+def review_text(review: Review) -> str:
+    """The review's non-empty title, positive and negative text, one per line."""
+    parts = (review.review_title, review.review_positive, review.review_negative)
+    return "\n".join(p for p in parts if p)
 
 
 def serialize_context(guest: GuestContext, accommodation: AccommodationContext) -> str:

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import config_to_text
-from .contrastive import LOSSES, interaction_matrix, score_ids
+from .contrastive import LOSSES, score_ids
 from .dataset import ReviewRecord, group_by_accommodation
 from .encoder import (
     DualEncoder,
@@ -30,7 +30,6 @@ from .encoder import (
     atomic_write,
     build_vocabulary,
     encode_backward_batch_ids,
-    encode_batch_ids,
     init_params,
     save_checkpoint,
     tokenize,
@@ -246,9 +245,6 @@ def initialize_model(records: Sequence[ReviewRecord], config: TrainConfig) -> Du
     )
 
 
-# The loop below detects divergence and raises FloatingPointError; numpy's
-# overflow warnings on the way there would only repeat it on stderr.
-@np.errstate(over="ignore", invalid="ignore")
 def train(
     train_records: Sequence[ReviewRecord],
     valid_records: Sequence[ReviewRecord],
@@ -263,8 +259,9 @@ def train(
     written to ``out_dir`` as best.npz / final.npz alongside the training
     log, the vocabulary, and a config echo when a directory is given.  Each
     file is replaced atomically, so a failed write leaves no partial file
-    behind.  Non-finite batch embeddings, batch loss or validation scores
-    raise FloatingPointError("training diverged at epoch E ...").
+    behind.  A batch or validation group that ``score_ids`` cannot score
+    (non-finite embeddings or NaN dot products), or a non-finite batch loss,
+    raises FloatingPointError("training diverged at epoch E ...").
     """
     model = initialize_model(train_records, config)
     groups = group_by_accommodation(train_records)
@@ -294,17 +291,16 @@ def train(
         for b_idx, batch in enumerate(plan.batches):
             ctx_batch = [context_ids[i] for i in batch.indices]
             rev_batch = [review_ids[i] for i in batch.indices]
-            contexts = encode_batch_ids(model.context, ctx_batch)
-            reviews = encode_batch_ids(model.review, rev_batch)
-            out = None
-            if np.all(np.isfinite(contexts)) and np.all(np.isfinite(reviews)):
-                out = loss_fn(interaction_matrix(contexts, reviews))
-            if out is None or not math.isfinite(out.loss):
+            try:
+                out = loss_fn(score_ids(model, ctx_batch, rev_batch))
+                if not math.isfinite(out.loss):
+                    raise FloatingPointError
+            except FloatingPointError:
                 acc = batch.accommodation_id or "-"
                 raise FloatingPointError(
                     f"training diverged at epoch {epoch} batch {b_idx} "
                     f"(accommodation {acc}, records {batch.indices})"
-                )
+                ) from None
             loss_total += out.loss
             grads_ctx = encode_backward_batch_ids(model.context, ctx_batch, out.grad_contexts)
             grads_rev = encode_backward_batch_ids(model.review, rev_batch, out.grad_reviews)
@@ -315,11 +311,12 @@ def train(
 
         val_mrr = None
         if valid_groups:
-            val_scores = [score_ids(model, *ids) for ids in valid_ids]
-            if not all(np.all(np.isfinite(scores)) for scores in val_scores):
+            try:
+                val_scores = [score_ids(model, *ids).values for ids in valid_ids]
+            except FloatingPointError:
                 raise FloatingPointError(
                     f"training diverged at epoch {epoch}: validation scores are not finite"
-                )
+                ) from None
             val_mrr = mrr([rank_from_scores(scores) for scores in val_scores])
             if val_mrr > best_val:
                 best_val = val_mrr

@@ -10,6 +10,7 @@ import pytest
 import revrank
 from revrank.cli import main
 from revrank.dataset import load_csv, write_csv
+from revrank.encoder import DualEncoder, EncoderParams, load_checkpoint, save_checkpoint
 from revrank.synthgen import SynthConfig, generate
 
 CONTEXT_FLAGS = [
@@ -415,6 +416,59 @@ class TestCorruptCheckpoint:
         code = main(["evaluate", "--checkpoint", "no/ckpt.npz",
                      "--data", str(corpus_csv), "--methods", "model"])
         assert code == 2
+
+
+def run_revrank(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI in a subprocess, so that warnings and tracebacks on stderr are seen."""
+    env = dict(os.environ, PYTHONPATH=str(Path(revrank.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "revrank", *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+class TestNonFiniteModel:
+    def test_overflowing_encodings_exit_1_one_line(self, corpus_csv, checkpoint_dir,
+                                                   tmp_path):
+        # Every entry is finite, so the checkpoint loads, but +-1e160 tables
+        # overflow the projection and the encodings are inf or NaN.
+        base = load_checkpoint(checkpoint_dir / "best.npz")
+        rng = np.random.default_rng(0)
+
+        def huge(params):
+            return EncoderParams(*(1e160 * rng.choice([-1.0, 1.0], size=block.shape)
+                                   for block in params.blocks().values()))
+
+        path = tmp_path / "huge.npz"
+        save_checkpoint(DualEncoder(vocab=base.vocab, context=huge(base.context),
+                                    review=huge(base.review)), path)
+        reviews, _ = TestRank().one_accommodation_csv(corpus_csv, tmp_path)
+        for argv in (
+            ["rank", "--checkpoint", str(path), "--reviews", str(reviews), *CONTEXT_FLAGS],
+            ["evaluate", "--checkpoint", str(path), "--data", str(corpus_csv),
+             "--methods", "model"],
+        ):
+            proc = run_revrank(*argv)
+            assert proc.returncode == 1, argv[0]
+            assert proc.stdout == "", argv[0]
+            assert proc.stderr.splitlines() == ["error: non-finite embeddings"], argv[0]
+
+    def test_saturated_scores_print_no_warnings(self, tmp_path):
+        # Training at this rate exits 0 with parameters up to about 1e135, so
+        # the dot products overflow to +-inf and every score saturates.
+        corpus = tmp_path / "corpus.csv"
+        out = tmp_path / "run"
+        assert main(["gen-synthetic", "--out", str(corpus), "--accommodations", "20",
+                     "--reviews", "12", "--seed", "1"]) == 0
+        assert main(["train", "--data", str(corpus), "--preset", "desk", "--split", "1,0,0",
+                     "--learning-rate", "1e9", "--epochs", "1", "--d", "8", "--d-e", "8",
+                     "--out", str(out)]) == 0
+        reviews, n = TestRank().one_accommodation_csv(corpus, tmp_path)
+        proc = run_revrank("rank", "--checkpoint", str(out / "final.npz"),
+                           "--reviews", str(reviews), "--top", "99", *CONTEXT_FLAGS)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        lines = proc.stdout.splitlines()[1:]
+        assert len(lines) == n
+        assert {line.split("\t")[1] for line in lines} <= {"0.000000", "1.000000"}
 
 
 HELP_DIR = Path(__file__).parent / "data" / "help"

@@ -43,15 +43,45 @@ class TestInteractionMatrix:
         assert 1.0 - 1e-12 < inter2.values[0, 0] < 1.0
 
     def test_shape_mismatch(self):
+        # 2 contexts against 3 reviews is a valid 2 x 3 scoring matrix, but
+        # neither loss can take it
+        inter = interaction_matrix(np.zeros((2, 3)), np.zeros((3, 3)))
         with pytest.raises(ValueError):
-            interaction_matrix(np.zeros((2, 3)), np.zeros((3, 3)))
+            info_nce_loss(inter)
+        with pytest.raises(ValueError):
+            bce_loss(inter)
         with pytest.raises(ValueError):
             interaction_matrix(np.zeros((2, 3)), np.zeros((2, 4)))
 
     def test_nonfinite_rejected(self):
         bad = np.full((2, 2), np.nan)
-        with pytest.raises(ValueError):
+        with pytest.raises(FloatingPointError):
             interaction_matrix(bad, np.zeros((2, 2)))
+
+    def test_nan_logits_from_finite_embeddings_rejected(self):
+        # Half the products overflow to +inf and half to -inf.  Whether the
+        # dot product is NaN or saturates depends on how BLAS splits the sum
+        # (one fused multiply-add chain keeps the first infinity), so each
+        # width is checked against the product this build computes.
+        widths_with_nan = []
+        for d in (2, 4, 8, 16, 32, 64):
+            c = np.full((1, d), 1e200)
+            r = np.tile([1e200, -1e200], (1, d // 2))
+            with np.errstate(over="ignore", invalid="ignore"):
+                z = c @ r.T
+                if np.isnan(z).any():
+                    widths_with_nan.append(d)
+                    with pytest.raises(FloatingPointError):
+                        interaction_matrix(c, r)
+                else:  # an infinite dot product saturates
+                    inter = interaction_matrix(c, r)
+                    assert np.array_equal(inter.values, sigmoid(np.clip(z, -30, 30)))
+        assert widths_with_nan, "no width gave a NaN dot product"
+
+    def test_one_context_against_many_reviews(self):
+        inter = interaction_matrix(np.ones((1, 3)), np.ones((5, 3)))
+        assert inter.values.shape == (1, 5)
+        assert inter.unclamped.shape == (1, 5)
 
     def test_sigmoid_tails(self):
         # interaction_matrix clamps inputs to [-30, 30]; within that range
@@ -133,6 +163,33 @@ class TestBCE:
         out = bce_loss(inter)
         assert math.isfinite(out.loss)
         assert np.all(np.isfinite(out.grad_contexts))
+
+
+def masked_sigmoid(x):
+    """Reference: each branch of the logistic function over its own entries."""
+    out = np.empty_like(x, dtype=float)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.floats(-30, 30, allow_subnormal=True), min_size=1, max_size=300),
+        rows=st.integers(1, 3),
+    )
+    def test_bits_equal_masked_reference(self, values, rows):
+        x = np.resize(np.array(values), (rows, len(values)))
+        assert sigmoid(x).tobytes() == masked_sigmoid(x).tobytes()
+
+    def test_bits_equal_masked_reference_on_a_grid(self):
+        x = np.concatenate([np.linspace(-30, 30, 200_001), [-0.0, 0.0, 5e-324, -5e-324]])
+        before = x.copy()
+        assert sigmoid(x).tobytes() == masked_sigmoid(x).tobytes()
+        assert x.tobytes() == before.tobytes()  # the input is left alone
 
 
 def fd_loss_grads(loss_fn, contexts, reviews, h=1e-5):
@@ -222,7 +279,9 @@ class TestScorePair:
         params.projection[:] = 0.0
         params.bias[:] = 0.0
         model = DualEncoder(vocab=vocab, context=params, review=params)
-        scores = score_ids(model, [vocab.encode_text("hello")], [vocab.encode_text("world")])
+        scores = score_ids(
+            model, [vocab.encode_text("hello")], [vocab.encode_text("world")]
+        ).values
         assert scores.shape == (1, 1)
         assert scores[0, 0] == pytest.approx(0.5)
 
@@ -241,7 +300,7 @@ class TestScorePair:
             model,
             [vocab.encode_text(a) for a, _ in texts],
             [vocab.encode_text(b) for _, b in texts],
-        )
+        ).values
         for i in range(len(texts)):
             assert scores[i, i] == pytest.approx(inter.values[i, i], abs=1e-12)
         # the same floats as the training-side interaction matrix

@@ -29,14 +29,6 @@ class TestBatch:
         with pytest.raises(ValueError):
             Batch(indices=(3,))
 
-    def test_materialize(self):
-        records = records_for_groups([3])
-        batch = Batch(indices=(2, 0))
-        pairs = batch.materialize(records)
-        assert len(pairs) == 2
-        assert "review 0 2" in pairs[0][1]
-        assert pairs[0][0].startswith("guest_country:")
-
 
 class TestRandomEpoch:
     def test_chunk_sizes_10_by_4(self):
