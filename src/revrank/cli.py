@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
@@ -43,6 +44,7 @@ from .evaluation import (
     model_rank_group,
     model_scores,
     parse_lexicon,
+    record_ids,
     topic_overlap_report,
 )
 from .synthgen import SynthConfig, generate
@@ -79,6 +81,15 @@ def _split_part(records, fractions, seed: int, part: str):
     groups = group_by_accommodation(records)
     named = dict(zip(("train", "valid", "test"), split_dataset(groups, fractions, seed)))
     return [r for g in named[part] for r in g.records]
+
+
+@contextmanager
+def _checkpoint_named(path: str):
+    """Prefix ``path`` to a scoring failure of the model loaded from it."""
+    try:
+        yield
+    except FloatingPointError as exc:  # the encodings are not finite
+        raise FloatingPointError(f"{Path(path)}: {exc}") from None
 
 
 def _write_or_print(text: str, path: str | None) -> None:
@@ -164,13 +175,24 @@ def cmd_evaluate(args) -> int:
             raise CliError(1, "--checkpoint is required for model/untrained methods")
         model = load_checkpoint(args.checkpoint)
 
+    token_ids = {}  # per group, shared: "untrained" has the model's vocabulary
+
+    def group_ids(group):
+        if group.accommodation_id not in token_ids:
+            token_ids[group.accommodation_id] = record_ids(model.vocab, group.records)
+        return token_ids[group.accommodation_id]
+
+    def rank_model(group):
+        with _checkpoint_named(args.checkpoint):
+            return model_rank_group(model, group, group_ids(group))
+
     rankers = []
     for name in method_names:
         if name == "model":
-            rankers.append((name, lambda g, m=model: model_rank_group(m, g)))
+            rankers.append((name, rank_model))
         elif name == "untrained":
             fresh = _untrained_like(model, args.seed)
-            rankers.append((name, lambda g, m=fresh: model_rank_group(m, g)))
+            rankers.append((name, lambda g, m=fresh: model_rank_group(m, g, group_ids(g))))
         elif name == "votes":
             rankers.append((name, helpful_votes_ranking))
         else:
@@ -226,9 +248,12 @@ def cmd_rank(args) -> int:
     guest = _parse_context_flags(args.context)
     context = serialize_context(guest, group.records[0].accommodation)
     reviews = [serialize_review(r.review) for r in group.records]
-    scores = score_ids(
-        model, [model.vocab.encode_text(context)], [model.vocab.encode_text(t) for t in reviews]
-    ).values[0]
+    with _checkpoint_named(args.checkpoint):
+        scores = score_ids(
+            model,
+            [model.vocab.encode_text(context)],
+            [model.vocab.encode_text(t) for t in reviews],
+        ).values[0]
     order = np.argsort(-scores, kind="stable")  # ties keep record order
     print(f"# accommodation={group.accommodation_id} reviews={len(scores)}")
     for position, idx in enumerate(order[: args.top].tolist(), start=1):
@@ -248,10 +273,17 @@ def cmd_compare(args) -> int:
         raise CliError(1, f"lexicon file {args.lexicon} defines no topics")
     records = _load_records(args.data)
     groups = group_by_accommodation(records)
+
+    def scorer(m, path):
+        def scores(group):
+            with _checkpoint_named(path):
+                return model_scores(m, group)
+        return scores
+
     rows = topic_overlap_report(
         groups,
-        lambda g: model_scores(model, g),
-        lambda g: model_scores(baseline, g),
+        scorer(model, args.checkpoint),
+        scorer(baseline, args.baseline_checkpoint),
         lexicon,
         n_samples=args.samples,
         seed=args.seed,

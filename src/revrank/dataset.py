@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -73,7 +74,7 @@ _GUEST_TYPE_BY_KEY = {
 
 def parse_guest_type(text: str) -> GuestType:
     """Parse a guest-type cell; tolerant of case, spacing and underscores."""
-    key = "".join(ch for ch in text.lower() if ch.isalnum())
+    key = "".join(filter(str.isalnum, text.lower()))
     try:
         return _GUEST_TYPE_BY_KEY[key]
     except KeyError:
@@ -219,9 +220,29 @@ class LoadResult:
     rejections: list[RowRejection]
 
 
-def _parse_row(row: dict[str, str], row_num: int) -> ReviewRecord:
+# Each column's index in ``COLUMNS``, which is also the order rows are parsed in.
+_INDEX = {name: i for i, name in enumerate(COLUMNS)}
+_GUEST_CELLS = slice(_INDEX["guest_type"], _INDEX["month"] + 1)
+_ACCOMMODATION_CELLS = slice(_INDEX["accommodation_id"], len(COLUMNS))
+
+
+def _parse_row(
+    cells: Sequence[str | None],
+    row_num: int,
+    guests: dict[tuple, GuestContext],
+    accommodations: dict[tuple, AccommodationContext],
+) -> ReviewRecord:
+    """The record of one row, from its raw cells in ``COLUMNS`` order.
+
+    A cell the row is too short to have is None.  Fields are parsed in
+    ``COLUMNS`` order, each context checked as soon as its fields are, so
+    the first fault in that order is the one reported.  ``guests`` and
+    ``accommodations`` map the raw cells of each context parsed so far to
+    its value; a row that repeats them shares that (frozen) value.
+    """
+
     def cell(name: str) -> str:
-        value = row.get(name)
+        value = cells[_INDEX[name]]
         if value is None:
             raise RowError(row_num, f"missing cell for column {name!r}")
         return value.strip()
@@ -243,22 +264,28 @@ def _parse_row(row: dict[str, str], row_num: int) -> ReviewRecord:
             review_score=numeric("review_score", float),
             review_helpful_votes=numeric("review_helpful_votes", int),
         )
-        guest = GuestContext(
-            guest_type=numeric("guest_type", parse_guest_type),
-            guest_country=cell("guest_country"),
-            room_nights=numeric("room_nights", int),
-            month=numeric("month", parse_month),
-        )
-        accommodation = AccommodationContext(
-            accommodation_id=cell("accommodation_id"),
-            accommodation_type=cell("accommodation_type"),
-            accommodation_score=numeric("accommodation_score", float),
-            accommodation_country=cell("accommodation_country"),
-            accommodation_star_rating=numeric("accommodation_star_rating", float),
-            location_is_beach=numeric("location_is_beach", parse_bool),
-            location_is_ski=numeric("location_is_ski", parse_bool),
-            location_is_city_center=numeric("location_is_city_center", parse_bool),
-        )
+        raw_guest = cells[_GUEST_CELLS]
+        guest = guests.get(raw_guest)
+        if guest is None:
+            guest = guests[raw_guest] = GuestContext(
+                guest_type=numeric("guest_type", parse_guest_type),
+                guest_country=cell("guest_country"),
+                room_nights=numeric("room_nights", int),
+                month=numeric("month", parse_month),
+            )
+        raw_accommodation = cells[_ACCOMMODATION_CELLS]
+        accommodation = accommodations.get(raw_accommodation)
+        if accommodation is None:
+            accommodation = accommodations[raw_accommodation] = AccommodationContext(
+                accommodation_id=cell("accommodation_id"),
+                accommodation_type=cell("accommodation_type"),
+                accommodation_score=numeric("accommodation_score", float),
+                accommodation_country=cell("accommodation_country"),
+                accommodation_star_rating=numeric("accommodation_star_rating", float),
+                location_is_beach=numeric("location_is_beach", parse_bool),
+                location_is_ski=numeric("location_is_ski", parse_bool),
+                location_is_city_center=numeric("location_is_city_center", parse_bool),
+            )
     except RowError:
         raise
     except ValueError as exc:
@@ -266,7 +293,7 @@ def _parse_row(row: dict[str, str], row_num: int) -> ReviewRecord:
     return ReviewRecord(review=review, guest=guest, accommodation=accommodation)
 
 
-def _rows(reader: csv.DictReader) -> Iterator[dict[str, str] | csv.Error]:
+def _rows(reader: Iterator[list[str]]) -> Iterator[list[str] | csv.Error]:
     """The reader's rows, with the error in place of a row it cannot split.
 
     After such an error the reader goes on at the next line.
@@ -289,14 +316,22 @@ def load_csv(path: str | Path, schema_mode: str = "strict") -> LoadResult:
     Rows whose accommodation context disagrees with an earlier row of the
     same accommodation_id are malformed, and so are rows the CSV reader
     cannot split (a field over ``csv.field_size_limit()``, a NUL byte).
+
+    Rows are read as cell lists and picked by column position, with the
+    semantics of ``csv.DictReader``: blank lines are skipped and not
+    counted as rows; a row too short for a column is missing that cell
+    (reported for the first such column in parse order); cells beyond the
+    header are ignored; a column named twice in the header is read from
+    its last position.  After a row the reader cannot split, it resumes at
+    the next line.
     """
     if schema_mode not in ("strict", "lenient"):
         raise ValueError(f"schema_mode must be 'strict' or 'lenient', got {schema_mode!r}")
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
+        reader = csv.reader(handle)
         try:
-            header = reader.fieldnames
+            header = next(reader, None)
         except csv.Error as exc:
             raise SchemaError(f"{path}: unreadable header row: {exc}") from None
         if header is None:
@@ -308,15 +343,27 @@ def load_csv(path: str | Path, schema_mode: str = "strict") -> LoadResult:
             extra = [c for c in header if c not in COLUMNS]
             if extra:
                 raise SchemaError(f"{path}: unexpected columns: {', '.join(extra)}")
+        position = {name: i for i, name in enumerate(header)}  # twice named: the last
+        positions = [position[name] for name in COLUMNS]
+        width = max(positions) + 1
+        pick = operator.itemgetter(*positions)
 
         records: list[ReviewRecord] = []
         rejections: list[RowRejection] = []
+        guests: dict[tuple, GuestContext] = {}
+        accommodations: dict[tuple, AccommodationContext] = {}
         seen_accommodation: dict[str, AccommodationContext] = {}
-        for row_num, row in enumerate(_rows(reader), start=1):
+        row_num = 0
+        for row in _rows(reader):
+            if row == []:
+                continue
+            row_num += 1
             try:
                 if isinstance(row, csv.Error):
                     raise RowError(row_num, f"unreadable CSV row: {row}")
-                record = _parse_row(row, row_num)
+                if len(row) < width:
+                    row = row + [None] * (width - len(row))
+                record = _parse_row(pick(row), row_num, guests, accommodations)
                 acc = record.accommodation
                 known = seen_accommodation.get(acc.accommodation_id)
                 if known is None:

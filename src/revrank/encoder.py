@@ -6,6 +6,19 @@ dimension.  Forward evaluation and exact analytic backward passes are both
 provided; the backward pass is validated against central finite differences
 in the test suite.
 
+Summation order of the forward.  A sequence's pooled embedding is
+``embedding[ids].mean(axis=0)`` to the bit: its token rows are added in
+sequence order, starting from +0.0, and the sum is divided by the length.
+``encode_batch_ids`` keeps that order a position at a time: it sorts the
+batch longest first, starts from each sequence's first-token row plus
+0.0, and adds position p's rows into the prefix of sequences longer than
+p.  (For d_e = 1 numpy sums the one column pairwise instead, and a
+float16 table in float32, so such towers are pooled one sequence at a
+time.)  The projection is a stacked
+product, ``(pooled[:, None, :] @ projection)[:, 0, :]``, which makes one
+matrix-vector product per row, the same one ``pooled_row @ projection``
+makes; a plain matrix product of the whole batch sums in another order.
+
 Summation order of the embedding gradient.  Floating-point addition is not
 associative, so the batch gradient fixes one order and every implementation
 must keep it to produce the same bits: for each sequence, a token's
@@ -34,6 +47,7 @@ loaded from it is in use.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import mmap
 import os
@@ -53,12 +67,12 @@ CHECKPOINT_VERSION = 1
 UNK = "<unk>"
 MAX_TOKENS = 128
 
-_TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
+_TOKEN = re.compile(r"[0-9a-z]+")
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on runs of non-alphanumeric characters."""
-    return [t for t in _TOKEN_SPLIT.split(text.lower()) if t]
+    """Lowercase, then every maximal run of ASCII letters and digits."""
+    return _TOKEN.findall(text.lower())
 
 
 @dataclass(frozen=True)
@@ -216,15 +230,58 @@ def init_params(d: int = 64, d_e: int = 64, vocab_size: int = 1, seed: int = 0) 
 
 def encode_ids(params: EncoderParams, token_ids: Sequence[int]) -> np.ndarray:
     """Latent vector for a pre-looked-up token id sequence."""
-    if len(token_ids) == 0:
-        raise ValueError("cannot encode an empty token sequence")
-    pooled = params.embedding[np.asarray(token_ids, dtype=np.intp)].mean(axis=0)
-    return pooled @ params.projection + params.bias
+    return encode_batch_ids(params, [token_ids])[0]
 
 
 def encode_batch_ids(params: EncoderParams, batches: Sequence[Sequence[int]]) -> np.ndarray:
-    """Stack of latent vectors, one row per id sequence."""
-    return np.stack([encode_ids(params, ids) for ids in batches])
+    """Stack of latent vectors, one row per id sequence.
+
+    Row i is ``embedding[batches[i]].mean(axis=0) @ projection + bias`` to
+    the bit; the module docstring gives the order of the sums.  A batch
+    with fewer sequences than its longest sequence has tokens is pooled
+    one sequence at a time, which then takes fewer numpy calls than
+    pooling one position at a time; so is a table whose mean numpy sums
+    in another order (one column, or not float64).
+    """
+    lengths = np.fromiter(map(len, batches), dtype=np.intp, count=len(batches))
+    if len(lengths) == 0:
+        raise ValueError("cannot encode an empty batch")
+    if not lengths.all():
+        raise ValueError("cannot encode an empty token sequence")
+    embedding = params.embedding
+    if (len(lengths) < lengths.max() or embedding.shape[1] == 1
+            or embedding.dtype != np.float64):
+        pooled = np.stack([
+            embedding[np.asarray(ids, dtype=np.intp)].mean(axis=0) for ids in batches
+        ])
+    else:
+        pooled = _pool_by_position(embedding, batches, lengths)
+    return (pooled[:, None, :] @ params.projection)[:, 0, :] + params.bias
+
+
+def _pool_by_position(
+    embedding: np.ndarray, batches: Sequence[Sequence[int]], lengths: np.ndarray
+) -> np.ndarray:
+    """Mean embedding of each sequence, summed one token position at a time."""
+    flat = np.fromiter(
+        itertools.chain.from_iterable(batches), dtype=np.intp, count=int(lengths.sum())
+    )
+    order = np.argsort(-lengths, kind="stable")  # longest first
+    starts = (np.cumsum(lengths) - lengths)[order]
+    lengths = lengths[order]
+    # ids[p, i] is token p of the i-th longest sequence; past a sequence's
+    # end it is some other id of the batch, never read.
+    ids = flat[np.minimum(starts + np.arange(lengths[0])[:, None], len(flat) - 1)]
+    # The sequences longer than p, alive[p] of them, lead that order.
+    alive = len(lengths) - np.cumsum(np.bincount(lengths))
+    sums = embedding[ids[0]]
+    sums += 0.0
+    for p in range(1, len(ids)):
+        k = alive[p]
+        sums[:k] += embedding[ids[p, :k]]
+    pooled = np.empty_like(sums)
+    pooled[order] = sums / lengths[:, None]
+    return pooled
 
 
 @dataclass

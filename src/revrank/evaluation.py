@@ -59,9 +59,11 @@ def rank_from_scores(scores: np.ndarray) -> np.ndarray:
     )
 
 
-def record_ids(
-    vocab: Vocabulary, records: Sequence[ReviewRecord]
-) -> tuple[list[list[int]], list[list[int]]]:
+# Context and review token ids of a list of records.
+TokenIds = tuple[list[list[int]], list[list[int]]]
+
+
+def record_ids(vocab: Vocabulary, records: Sequence[ReviewRecord]) -> TokenIds:
     """Context and review token ids of each record, in record order."""
     contexts, reviews = [], []
     for record in records:
@@ -71,15 +73,25 @@ def record_ids(
     return contexts, reviews
 
 
-def model_scores(model: DualEncoder, group: AccommodationGroup) -> np.ndarray:
-    """Pairwise sigmoid scores for a group, encoding each text once."""
-    return score_ids(model, *record_ids(model.vocab, group.records)).values
+def model_scores(
+    model: DualEncoder, group: AccommodationGroup, ids: TokenIds | None = None
+) -> np.ndarray:
+    """Pairwise sigmoid scores for a group, encoding each text once.
+
+    ``ids`` is the group's ``record_ids`` under ``model.vocab``, if the
+    caller has them already.
+    """
+    if ids is None:
+        ids = record_ids(model.vocab, group.records)
+    return score_ids(model, *ids).values
 
 
-def model_rank_group(model: DualEncoder, group: AccommodationGroup) -> np.ndarray:
+def model_rank_group(
+    model: DualEncoder, group: AccommodationGroup, ids: TokenIds | None = None
+) -> np.ndarray:
     if len(group) < 2:
         raise ValueError(f"group {group.accommodation_id!r} has fewer than 2 reviews")
-    return rank_from_scores(model_scores(model, group))
+    return rank_from_scores(model_scores(model, group, ids))
 
 
 def helpful_votes_ranking(group: AccommodationGroup) -> np.ndarray:

@@ -1,17 +1,32 @@
-"""The training kernels against frozen copies of their straightforward forms.
+"""The encoder and training kernels against frozen copies of their straightforward forms.
 
-``encode_backward_batch_ids`` and ``optimizer_step`` are written for speed
-but must perform the same floating-point operations, in the same order, as
-the plain per-sequence backward summed over the batch and the whole-array
-AdamW expression below.  These tests compare them bit for bit, signed zeros
-included; inputs are NaN-free so equality plus sign bits is bit identity.
+``encode_batch_ids``, ``encode_backward_batch_ids`` and ``optimizer_step``
+are written for speed but must perform the same floating-point operations,
+in the same order, as the plain per-sequence forward and backward and the
+whole-array AdamW expression below.  These tests compare them bit for bit,
+signed zeros included; inputs are NaN-free so equality plus sign bits is
+bit identity.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from revrank.encoder import EncoderGradients, EncoderParams, encode_backward_batch_ids
+from revrank.contrastive import interaction_matrix, score_ids
+from revrank.encoder import (
+    MAX_TOKENS,
+    UNK,
+    DualEncoder,
+    EncoderGradients,
+    EncoderParams,
+    Vocabulary,
+    _pool_by_position,
+    encode_backward_batch_ids,
+    encode_batch_ids,
+    load_checkpoint,
+    save_checkpoint,
+)
 from revrank.trainer import (
     ADAMW_BLOCK_ROWS,
     AdamWState,
@@ -23,6 +38,17 @@ from revrank.trainer import (
 VOCAB_SIZES = (1, ADAMW_BLOCK_ROWS - 1, ADAMW_BLOCK_ROWS, ADAMW_BLOCK_ROWS + 1, 2000)
 # (d_e, d): a small tower and the default 64 x 64 projection.
 DIMENSIONS = ((3, 2), (64, 64))
+# The forward adds a wide tower and d_e = 1, whose mean numpy sums pairwise.
+FORWARD_DIMENSIONS = DIMENSIONS + ((128, 32), (1, 4))
+
+
+def reference_forward(params, batches):
+    """Each sequence mean-pooled by numpy and projected on its own."""
+    return np.stack([
+        params.embedding[np.asarray(ids, dtype=np.intp)].mean(axis=0) @ params.projection
+        + params.bias
+        for ids in batches
+    ])
 
 
 def reference_backward(params, batches, upstream_rows):
@@ -161,3 +187,82 @@ def test_adamw_matches_whole_array_reference(vocab_size, dims, lr, weight_decay,
             assert_same_bits(params.blocks()[name], block)
             assert_same_bits(state.m[name], expected_state.m[name])
             assert_same_bits(state.v[name], expected_state.v[name])
+
+
+def random_batch(rng, vocab_size, n, longest, low=None):
+    """``n`` id sequences, the first ``longest`` tokens long, the rest 1 to ``longest``."""
+    lengths = rng.integers(1, longest + 1, size=n)
+    lengths[0] = longest
+    low = -vocab_size if low is None else low
+    return [rng.integers(low, vocab_size, size=k).tolist() for k in lengths]
+
+
+# Batches on both sides of the pooling branch: fewer sequences than the
+# longest has tokens are pooled one sequence at a time, the rest by position.
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 600),
+    longest=st.integers(1, MAX_TOKENS),
+    vocab_size=st.sampled_from((1, 7, 300)),
+    dims=st.sampled_from(FORWARD_DIMENSIONS),
+    # float64, what training writes, is drawn twice as often: only it is pooled by position.
+    dtype=st.sampled_from((np.float64, np.float64, np.float32, np.float16)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, longest=1, vocab_size=7, dims=(3, 2), dtype=np.float64, seed=0)
+@example(n=1, longest=MAX_TOKENS, vocab_size=300, dims=(64, 64), dtype=np.float64, seed=1)
+@example(n=MAX_TOKENS - 1, longest=MAX_TOKENS, vocab_size=300, dims=(64, 64),
+         dtype=np.float64, seed=2)
+@example(n=MAX_TOKENS, longest=MAX_TOKENS, vocab_size=300, dims=(64, 64),
+         dtype=np.float64, seed=3)
+@example(n=600, longest=MAX_TOKENS, vocab_size=300, dims=(128, 32), dtype=np.float64, seed=4)
+@example(n=600, longest=MAX_TOKENS, vocab_size=300, dims=(1, 4), dtype=np.float64, seed=5)
+@example(n=600, longest=MAX_TOKENS, vocab_size=300, dims=(64, 64), dtype=np.float16, seed=6)
+def test_forward_matches_per_sequence_reference(n, longest, vocab_size, dims, dtype, seed):
+    d_e, d = dims
+    rng = np.random.default_rng(seed)
+    params = random_params(rng, vocab_size, d_e, d)
+    params.embedding = params.embedding.astype(dtype)
+    batch = random_batch(rng, vocab_size, n, longest)
+    assert_same_bits(encode_batch_ids(params, batch), reference_forward(params, batch))
+
+
+def test_position_pooling_is_numpy_mean_with_signed_zeros():
+    # numpy's mean starts its sum from +0.0, so -0.0 rows pool to +0.0.  The
+    # projection would hide that sign, so the pooled rows are compared.
+    embedding = np.array([[-0.0, -0.0], [-0.0, 1.0], [2.0, -0.0]])
+    for batch in ([[0]], [[0], [0, 0], [0, 1, 0]], [[0, 0, 0]] * 4, [[2, 0], [0, 0]]):
+        lengths = np.array([len(ids) for ids in batch])
+        pooled = _pool_by_position(embedding, batch, lengths)
+        assert_same_bits(pooled, np.stack([embedding[ids].mean(axis=0) for ids in batch]))
+        assert not np.signbit(pooled[0]).any()
+
+
+# (n, longest) on both sides of the branch, a single token and rank's one context.
+SHAPES = ((1, 1), (1, 60), (12, MAX_TOKENS), (MAX_TOKENS, MAX_TOKENS), (600, MAX_TOKENS),
+          (500, 40))
+
+
+@pytest.mark.parametrize("dims", FORWARD_DIMENSIONS)
+def test_forward_on_mapped_checkpoint_tables(tmp_path, dims):
+    """The tables of a loaded checkpoint are read-only views of a map of the file."""
+    d_e, d = dims
+    rng = np.random.default_rng(d_e * 1000 + d)
+    vocab_size = 300
+    vocab = Vocabulary.from_tokens([f"t{i}" for i in range(vocab_size - 1)] + [UNK], 1, 50000)
+    path = tmp_path / "model.npz"
+    save_checkpoint(DualEncoder(vocab=vocab,
+                                context=random_params(rng, vocab_size, d_e, d),
+                                review=random_params(rng, vocab_size, d_e, d)), path)
+    model = load_checkpoint(path)
+    assert not model.context.embedding.flags.writeable
+    for n, longest in SHAPES:
+        batch = random_batch(rng, vocab_size, n, longest, low=0)
+        for params in (model.context, model.review):
+            assert_same_bits(encode_batch_ids(params, batch), reference_forward(params, batch))
+        contexts = random_batch(rng, vocab_size, n, longest, low=0)
+        actual = score_ids(model, contexts, batch)
+        expected = interaction_matrix(reference_forward(model.context, contexts),
+                                      reference_forward(model.review, batch))
+        assert_same_bits(actual.unclamped, expected.unclamped)
+        assert_same_bits(actual.values, expected.values)

@@ -441,15 +441,23 @@ class TestNonFiniteModel:
         save_checkpoint(DualEncoder(vocab=base.vocab, context=huge(base.context),
                                     review=huge(base.review)), path)
         reviews, _ = TestRank().one_accommodation_csv(corpus_csv, tmp_path)
+        lexicon = tmp_path / "topics.txt"
+        lexicon.write_text(TestCompare.LEXICON)
+        good = str(checkpoint_dir / "best.npz")
+        compare = ["compare", "--data", str(corpus_csv), "--lexicon", str(lexicon)]
         for argv in (
             ["rank", "--checkpoint", str(path), "--reviews", str(reviews), *CONTEXT_FLAGS],
             ["evaluate", "--checkpoint", str(path), "--data", str(corpus_csv),
              "--methods", "model"],
+            ["evaluate", "--checkpoint", str(path), "--data", str(corpus_csv),
+             "--methods", "votes,untrained,model"],
+            [*compare, "--checkpoint", str(path), "--baseline-checkpoint", good],
+            [*compare, "--checkpoint", good, "--baseline-checkpoint", str(path)],
         ):
             proc = run_revrank(*argv)
-            assert proc.returncode == 1, argv[0]
-            assert proc.stdout == "", argv[0]
-            assert proc.stderr.splitlines() == ["error: non-finite embeddings"], argv[0]
+            assert proc.returncode == 1, argv
+            assert proc.stdout == "", argv
+            assert proc.stderr.splitlines() == [f"error: {path}: non-finite embeddings"], argv
 
     def test_saturated_scores_print_no_warnings(self, tmp_path):
         # Training at this rate exits 0 with parameters up to about 1e135, so

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,17 @@ class TestTokenize:
 
     def test_unicode_and_digits(self):
         assert tokenize("Wi-Fi 5G café") == ["wi", "fi", "5g", "caf"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(
+        st.text(),
+        st.text(alphabet="İıßẞﬁǅΣσKKÅ\u0307 \t\n-_.,:/0123456789aZzé"),
+        st.text(alphabet=" \t\n-_.,:/\u00a0\u2028"),
+    ))
+    def test_matches_split_and_filter(self, text):
+        # The form tokenize had before it became one findall.
+        expected = [t for t in re.split(r"[^0-9a-z]+", text.lower()) if t]
+        assert tokenize(text) == expected
 
 
 class TestVocabulary:
