@@ -72,15 +72,13 @@ def _parse_fractions(text: str) -> tuple[float, float, float]:
     return tuple(float(p) for p in parts)  # type: ignore[return-value]
 
 
-def _load_records(path: str, schema_mode: str = "strict"):
-    result = load_csv(path, schema_mode=schema_mode)
-    return result.records
-
-
-def _split_part(records, fractions, seed: int, part: str):
-    groups = group_by_accommodation(records)
-    named = dict(zip(("train", "valid", "test"), split_dataset(groups, fractions, seed)))
-    return [r for g in named[part] for r in g.records]
+def _split_parts(records, fractions, seed: int) -> dict[str, list]:
+    """The records of each part of the split, by part name."""
+    parts = split_dataset(group_by_accommodation(records), fractions, seed)
+    return {
+        name: [r for g in groups for r in g.records]
+        for name, groups in zip(("train", "valid", "test"), parts)
+    }
 
 
 @contextmanager
@@ -133,11 +131,9 @@ def cmd_train(args) -> int:
     flags = vars(args) | {"sampler": args.sampler and args.sampler.replace("-", "_")}
     config = layer_config(base, args.config, flags)
 
-    records = _load_records(args.data)
-    fractions = _parse_fractions(args.split)
-    train_records = _split_part(records, fractions, config.seed, "train")
-    valid_records = _split_part(records, fractions, config.seed, "valid")
-    result = train(train_records, valid_records, config, out_dir=args.out)
+    records = load_csv(args.data).records
+    parts = _split_parts(records, _parse_fractions(args.split), config.seed)
+    result = train(parts["train"], parts["valid"], config, out_dir=args.out)
     sys.stdout.write(result.log_text())
     if args.out:
         print(f"checkpoints written to {args.out}")
@@ -163,10 +159,9 @@ def cmd_evaluate(args) -> int:
     if not method_names:
         raise CliError(1, "--methods must name at least one method")
 
-    records = _load_records(args.data)
+    records = load_csv(args.data).records
     if args.split:
-        fractions = _parse_fractions(args.split)
-        records = _split_part(records, fractions, args.seed, args.part)
+        records = _split_parts(records, _parse_fractions(args.split), args.seed)[args.part]
     groups = group_by_accommodation(records)
 
     model = None
@@ -235,7 +230,7 @@ def cmd_rank(args) -> int:
     if args.top < 1:
         raise CliError(1, f"--top must be >= 1, got {args.top}")
     model = load_checkpoint(args.checkpoint)
-    records = _load_records(args.reviews)
+    records = load_csv(args.reviews).records
     groups = group_by_accommodation(records)
     if len(groups) != 1:
         sample = ", ".join(g.accommodation_id for g in groups[:4])
@@ -254,7 +249,9 @@ def cmd_rank(args) -> int:
             [model.vocab.encode_text(context)],
             [model.vocab.encode_text(t) for t in reviews],
         ).values[0]
-    order = np.argsort(-scores, kind="stable")  # ties keep record order
+    # Exactly equal scores keep record order; two reviews with the same token
+    # ids can still score one ulp apart (see the evaluation module).
+    order = np.argsort(-scores, kind="stable")
     print(f"# accommodation={group.accommodation_id} reviews={len(scores)}")
     for position, idx in enumerate(order[: args.top].tolist(), start=1):
         title = group.records[idx].review.review_title or "(no title)"
@@ -271,7 +268,7 @@ def cmd_compare(args) -> int:
     lexicon = parse_lexicon(Path(args.lexicon).read_text(encoding="utf-8"))
     if not lexicon:
         raise CliError(1, f"lexicon file {args.lexicon} defines no topics")
-    records = _load_records(args.data)
+    records = load_csv(args.data).records
     groups = group_by_accommodation(records)
 
     def scorer(m, path):

@@ -6,27 +6,27 @@ dimension.  Forward evaluation and exact analytic backward passes are both
 provided; the backward pass is validated against central finite differences
 in the test suite.
 
-Summation order of the forward.  A sequence's pooled embedding is
-``embedding[ids].mean(axis=0)`` to the bit: its token rows are added in
-sequence order, starting from +0.0, and the sum is divided by the length.
-``encode_batch_ids`` keeps that order a position at a time: it sorts the
-batch longest first, starts from each sequence's first-token row plus
-0.0, and adds position p's rows into the prefix of sequences longer than
-p.  (For d_e = 1 numpy sums the one column pairwise instead, and a
-float16 table in float32, so such towers are pooled one sequence at a
-time.)  The projection is a stacked
-product, ``(pooled[:, None, :] @ projection)[:, 0, :]``, which makes one
-matrix-vector product per row, the same one ``pooled_row @ projection``
-makes; a plain matrix product of the whole batch sums in another order.
+Summation order.  Floating-point addition is not associative, so each sum
+in both passes has one fixed order, which a faster implementation must keep
+to produce the same bits.  A sum over a sequence's tokens or over the
+batch's sequences adds its terms one at a time, in that order, from +0.0,
+never pairwise (``np.add.reduce(axis=0)`` is pairwise when the other axes
+have size 1, so ``_batch_sum`` accumulates such rows instead).  A
+matrix-vector product is the BLAS call one sequence would make, stacked
+over the batch, as in ``(pooled[:, None, :] @ projection)[:, 0, :]``; a
+plain matrix product of the batch sums in another order.
 
-Summation order of the embedding gradient.  Floating-point addition is not
-associative, so the batch gradient fixes one order and every implementation
-must keep it to produce the same bits: for each sequence, a token's
-occurrences are added one by one, in sequence order, starting from 0.0; the
-per-sequence sums for one vocabulary row are then added in batch order,
-again starting from 0.0.  ``encode_backward_batch_ids`` keeps that order
-with vectorized adds over the batch's distinct (token, sequence) pairs and
-one ``np.bincount``, so it needs no dense |V| x d_e buffer per sequence.
+Pooling is ``embedding[ids].mean(axis=0)`` to the bit, which for a float64
+table with d_e > 1 follows that rule.  Both passes pool through ``_pool``,
+which sorts the batch longest first, starts from each sequence's
+first-token row plus 0.0, and adds position p's rows into the prefix of
+sequences longer than p.  (For d_e = 1 numpy sums the one column pairwise,
+and a float16 table in float32, so such tables are pooled one sequence at a
+time.)  In the embedding gradient a token's occurrences in one sequence are
+added first, then the sequences' sums for one row, in batch order:
+``encode_backward_batch_ids`` makes vectorized adds over the batch's
+distinct (token, sequence) pairs and one ``np.bincount``, with no dense
+|V| x d_e buffer per sequence.
 
 A trained model is a ``DualEncoder``: one shared vocabulary plus two
 independent parameter sets, one for contexts and one for reviews.
@@ -228,44 +228,45 @@ def init_params(d: int = 64, d_e: int = 64, vocab_size: int = 1, seed: int = 0) 
     )
 
 
-def encode_ids(params: EncoderParams, token_ids: Sequence[int]) -> np.ndarray:
-    """Latent vector for a pre-looked-up token id sequence."""
-    return encode_batch_ids(params, [token_ids])[0]
-
-
 def encode_batch_ids(params: EncoderParams, batches: Sequence[Sequence[int]]) -> np.ndarray:
     """Stack of latent vectors, one row per id sequence.
 
     Row i is ``embedding[batches[i]].mean(axis=0) @ projection + bias`` to
-    the bit; the module docstring gives the order of the sums.  A batch
-    with fewer sequences than its longest sequence has tokens is pooled
-    one sequence at a time, which then takes fewer numpy calls than
-    pooling one position at a time; so is a table whose mean numpy sums
-    in another order (one column, or not float64).
+    the bit; the module docstring gives the order of the sums.
     """
-    lengths = np.fromiter(map(len, batches), dtype=np.intp, count=len(batches))
+    lengths, flat = _flatten(batches)
     if len(lengths) == 0:
         raise ValueError("cannot encode an empty batch")
     if not lengths.all():
         raise ValueError("cannot encode an empty token sequence")
-    embedding = params.embedding
-    if (len(lengths) < lengths.max() or embedding.shape[1] == 1
-            or embedding.dtype != np.float64):
-        pooled = np.stack([
-            embedding[np.asarray(ids, dtype=np.intp)].mean(axis=0) for ids in batches
-        ])
-    else:
-        pooled = _pool_by_position(embedding, batches, lengths)
+    pooled = _pool(params.embedding, lengths, flat)
     return (pooled[:, None, :] @ params.projection)[:, 0, :] + params.bias
 
 
-def _pool_by_position(
-    embedding: np.ndarray, batches: Sequence[Sequence[int]], lengths: np.ndarray
-) -> np.ndarray:
-    """Mean embedding of each sequence, summed one token position at a time."""
+def _flatten(batches: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The length of each id sequence, and all their ids end to end."""
+    lengths = np.fromiter(map(len, batches), dtype=np.intp, count=len(batches))
     flat = np.fromiter(
         itertools.chain.from_iterable(batches), dtype=np.intp, count=int(lengths.sum())
     )
+    return lengths, flat
+
+
+def _pool(embedding: np.ndarray, lengths: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Mean embedding of each nonempty sequence, as ``_flatten`` lays them out.
+
+    Summed one token position at a time, except one sequence at a time
+    where that takes fewer numpy calls (fewer sequences than the longest has
+    tokens) or numpy's mean sums in another order (one column, or not
+    float64).
+    """
+    if (len(lengths) < lengths.max() or embedding.shape[1] == 1
+            or embedding.dtype != np.float64):
+        ends = np.cumsum(lengths).tolist()
+        return np.stack([
+            embedding[flat[end - n:end]].mean(axis=0)
+            for n, end in zip(lengths.tolist(), ends)
+        ])
     order = np.argsort(-lengths, kind="stable")  # longest first
     starts = (np.cumsum(lengths) - lengths)[order]
     lengths = lengths[order]
@@ -503,55 +504,52 @@ def load_checkpoint(path: str | Path) -> DualEncoder:
     return DualEncoder(vocab=vocab, context=context, review=review)
 
 
+def _batch_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum of ``rows`` over the first axis, adding them in order from +0.0.
+
+    numpy's reduce adds whole C-ordered rows in order, but sums one-entry
+    rows pairwise, so those are accumulated (slower for wide rows).
+    """
+    if rows[0].size == 1:
+        return np.cumsum(rows, axis=0)[-1] + 0.0
+    return np.add.reduce(np.ascontiguousarray(rows), axis=0) + 0.0
+
+
 def encode_backward_batch_ids(
     params: EncoderParams,
     batches: Sequence[Sequence[int]],
     upstream_rows: np.ndarray,
 ) -> EncoderGradients:
-    """Exact gradients of ``sum_i upstream_rows[i] . encode_ids(params, batches[i])``.
+    """Exact gradients of ``sum_i upstream_rows[i] . encode_batch_ids(params, batches)[i]``.
 
     Embedding rows absent from the batch get zero gradient; a row appearing
     k times among a sequence's T tokens receives k/T of that sequence's
     pooled gradient.  The summation order is the one in the module
     docstring.
     """
-    if len(batches) != len(upstream_rows):
+    upstream = np.asarray(upstream_rows, dtype=float)
+    if upstream.shape != (len(batches), params.d):
         raise ValueError(
-            f"{len(batches)} sequences but {len(upstream_rows)} upstream rows"
+            f"upstream gradient shape {upstream.shape} != ({len(batches)}, {params.d})"
         )
-    vocab_size = params.vocab_size
-    grad_projection = np.zeros_like(params.projection)
-    grad_bias = np.zeros_like(params.bias)
-    seq_ids = []
-    seq_grads = []
-    for ids, upstream in zip(batches, upstream_rows):
-        if len(ids) == 0:
-            raise ValueError("cannot backpropagate through an empty token sequence")
-        upstream = np.asarray(upstream, dtype=float)
-        if upstream.shape != (params.d,):
-            raise ValueError(f"upstream gradient shape {upstream.shape} != ({params.d},)")
-        ids = np.asarray(ids, dtype=np.intp)
-        pooled = params.embedding[ids].mean(axis=0)
-        grad_bias += upstream
-        grad_projection += np.outer(pooled, upstream)
-        seq_ids.append(ids)
-        seq_grads.append((params.projection @ upstream) / len(ids))
-    if not seq_ids:
-        return EncoderGradients(
-            embedding=np.zeros_like(params.embedding),
-            projection=grad_projection,
-            bias=grad_bias,
-        )
+    if len(batches) == 0:
+        return EncoderGradients(**{k: np.zeros_like(a) for k, a in params.blocks().items()})
+    lengths, flat = _flatten(batches)
+    if not lengths.all():
+        raise ValueError("cannot backpropagate through an empty token sequence")
+    pooled = _pool(params.embedding, lengths, flat)
+    grad_bias = _batch_sum(upstream)
+    grad_projection = _batch_sum(pooled[:, :, None] * upstream[:, None, :])
+    seq_grads = (params.projection @ upstream[:, :, None])[:, :, 0] / lengths[:, None]
 
     # One key per distinct (token, sequence) pair, sorted by token, then by
     # sequence; negative ids wrap as in indexing.
-    n_seqs = len(seq_ids)
-    tokens = np.concatenate(seq_ids) % vocab_size
-    seqs = np.repeat(np.arange(n_seqs), [len(ids) for ids in seq_ids])
-    keys, counts = np.unique(tokens * n_seqs + seqs, return_counts=True)
+    n_seqs = len(lengths)
+    vocab_size = params.vocab_size
+    seqs = np.repeat(np.arange(n_seqs), lengths)
+    keys, counts = np.unique(flat % vocab_size * n_seqs + seqs, return_counts=True)
     key_tokens, key_seqs = np.divmod(keys, n_seqs)
     # Pass 1: a sequence's k occurrences of a token, added one by one from 0.0.
-    seq_grads = np.stack(seq_grads)
     sums = seq_grads[key_seqs]
     sums += 0.0
     for k in range(2, counts.max() + 1):

@@ -8,13 +8,16 @@ the 1-based rank of context j's own review in row j under the order
 
     rank[j] = 1 + #{i : row[i] > row[j]} + #{i < j : row[i] == row[j]}.
 
-Ties therefore go to the earlier record, and -0.0 ties with 0.0.  The
-count is vectorized over the whole matrix, with no sort.  MRR and
-Precision@k are macro-averaged: per accommodation first, then over
-accommodations; each accommodation's mean is summed in Python, in context
-order, so the floats do not depend on numpy's summation order.  Method
-comparison uses a Friedman test over accommodations as blocks, with the
-pairwise Dunn test as post-hoc.
+Ties therefore go to the earlier record, and -0.0 ties with 0.0.  That
+holds only for exactly equal scores: two reviews with the same token ids
+can score one ulp apart, because the matrix product behind the scores sums
+in an order that depends on the review's column.  The count is vectorized
+over the whole matrix, with no sort.  MRR and Precision@k are
+macro-averaged: per accommodation first, then over accommodations; each
+accommodation's mean is summed in Python, in context order, so the floats
+do not depend on numpy's summation order.  Method comparison uses a
+Friedman test over accommodations as blocks, with the pairwise Dunn test as
+post-hoc.
 
 The Friedman statistic follows the classical formula without tie
 correction; its p-value comes from the chi-square survival function, and

@@ -34,7 +34,7 @@ from .encoder import (
     save_checkpoint,
     tokenize,
 )
-from .evaluation import mrr, rank_from_scores, record_ids
+from .evaluation import model_rank_group, mrr, record_ids
 from .sampling import in_accommodation_epoch, random_epoch
 from .textualize import serialize_record
 
@@ -272,7 +272,7 @@ def train(
     )
 
     context_ids, review_ids = record_ids(model.vocab, train_records)
-    valid_ids = [record_ids(model.vocab, g.records) for g in valid_groups]
+    valid = [(g, record_ids(model.vocab, g.records)) for g in valid_groups]
 
     loss_fn = LOSSES[config.loss]
     steps_per_epoch = len(_epoch_plan(train_records, groups, config, 0).batches)
@@ -312,12 +312,11 @@ def train(
         val_mrr = None
         if valid_groups:
             try:
-                val_scores = [score_ids(model, *ids).values for ids in valid_ids]
+                val_mrr = mrr([model_rank_group(model, g, ids) for g, ids in valid])
             except FloatingPointError:
                 raise FloatingPointError(
                     f"training diverged at epoch {epoch}: validation scores are not finite"
                 ) from None
-            val_mrr = mrr([rank_from_scores(scores) for scores in val_scores])
             if val_mrr > best_val:
                 best_val = val_mrr
                 result.best_model = model.copy()

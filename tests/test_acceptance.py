@@ -8,6 +8,7 @@ command line, never through internals.
 
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+import revrank
 from revrank.contrastive import LOSSES, interaction_matrix
 from revrank.dataset import (
     AccommodationContext,
@@ -332,10 +334,12 @@ def test_criterion_07_random_calibration():
 
 
 def _run_cli(*args):
+    env = dict(os.environ, PYTHONPATH=str(Path(revrank.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "revrank", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, f"revrank {' '.join(args)}\n{proc.stderr}"
 

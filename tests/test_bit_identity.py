@@ -21,7 +21,7 @@ from revrank.encoder import (
     EncoderGradients,
     EncoderParams,
     Vocabulary,
-    _pool_by_position,
+    _pool,
     encode_backward_batch_ids,
     encode_batch_ids,
     load_checkpoint,
@@ -38,6 +38,8 @@ from revrank.trainer import (
 VOCAB_SIZES = (1, ADAMW_BLOCK_ROWS - 1, ADAMW_BLOCK_ROWS, ADAMW_BLOCK_ROWS + 1, 2000)
 # (d_e, d): a small tower and the default 64 x 64 projection.
 DIMENSIONS = ((3, 2), (64, 64))
+# The backward adds d = 1 and d_e = 1, where a pairwise batch sum would differ.
+BACKWARD_DIMENSIONS = DIMENSIONS + ((1, 4), (4, 1), (1, 1))
 # The forward adds a wide tower and d_e = 1, whose mean numpy sums pairwise.
 FORWARD_DIMENSIONS = DIMENSIONS + ((128, 32), (1, 4))
 
@@ -111,23 +113,45 @@ def random_params(rng, vocab_size, d_e, d):
     )
 
 
+def random_batch(rng, vocab_size, n, longest, low=None):
+    """``n`` id sequences, the first ``longest`` tokens long, the rest 1 to ``longest``."""
+    lengths = rng.integers(1, longest + 1, size=n)
+    lengths[0] = longest
+    low = -vocab_size if low is None else low
+    return [rng.integers(low, vocab_size, size=k).tolist() for k in lengths]
+
+
 @st.composite
 def backward_case(draw):
     vocab_size = draw(st.sampled_from(VOCAB_SIZES))
-    d_e, d = draw(st.sampled_from(DIMENSIONS))
-    # Negative ids index from the end, as in numpy indexing.
-    token = st.one_of(
-        st.integers(-vocab_size, vocab_size - 1), st.just(vocab_size - 1), st.just(0)
-    )
-    batches = draw(
-        st.lists(st.lists(token, min_size=1, max_size=12), min_size=1, max_size=6)
-    )
+    d_e, d = draw(st.sampled_from(BACKWARD_DIMENSIONS))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        # Negative ids index from the end, as in numpy indexing.
+        token = st.one_of(
+            st.integers(-vocab_size, vocab_size - 1), st.just(vocab_size - 1), st.just(0)
+        )
+        batches = draw(
+            st.lists(st.lists(token, min_size=1, max_size=12), min_size=1, max_size=6)
+        )
+    else:  # the size of a training batch
+        n = draw(st.integers(8, 20))
+        longest = draw(st.integers(1, MAX_TOKENS))
+        batches = random_batch(np.random.default_rng(seed), vocab_size, n, longest)
     zero_upstream = draw(st.sampled_from((None, 0.0, -0.0)))
-    return vocab_size, d_e, d, batches, zero_upstream, draw(st.integers(0, 2**32 - 1))
+    return vocab_size, d_e, d, batches, zero_upstream, seed
 
 
-@settings(max_examples=80, deadline=None)
+def training_sized_case(vocab_size, d_e, d, n, seed):
+    rng = np.random.default_rng(seed)
+    return vocab_size, d_e, d, random_batch(rng, vocab_size, n, MAX_TOKENS), None, seed
+
+
+@settings(max_examples=120, deadline=None)
 @given(case=backward_case())
+# Batch sums over 8 or more rows of one column, which a pairwise sum would reorder.
+@example(case=training_sized_case(ADAMW_BLOCK_ROWS, 4, 1, 20, 4))
+@example(case=training_sized_case(2000, 1, 1, 16, 1))
 def test_backward_matches_per_sequence_reference(case):
     vocab_size, d_e, d, batches, zero_upstream, seed = case
     rng = np.random.default_rng(seed)
@@ -189,14 +213,6 @@ def test_adamw_matches_whole_array_reference(vocab_size, dims, lr, weight_decay,
             assert_same_bits(state.v[name], expected_state.v[name])
 
 
-def random_batch(rng, vocab_size, n, longest, low=None):
-    """``n`` id sequences, the first ``longest`` tokens long, the rest 1 to ``longest``."""
-    lengths = rng.integers(1, longest + 1, size=n)
-    lengths[0] = longest
-    low = -vocab_size if low is None else low
-    return [rng.integers(low, vocab_size, size=k).tolist() for k in lengths]
-
-
 # Batches on both sides of the pooling branch: fewer sequences than the
 # longest has tokens are pooled one sequence at a time, the rest by position.
 @settings(max_examples=60, deadline=None)
@@ -229,11 +245,13 @@ def test_forward_matches_per_sequence_reference(n, longest, vocab_size, dims, dt
 
 def test_position_pooling_is_numpy_mean_with_signed_zeros():
     # numpy's mean starts its sum from +0.0, so -0.0 rows pool to +0.0.  The
-    # projection would hide that sign, so the pooled rows are compared.
+    # projection would hide that sign, so the pooled rows are compared.  No
+    # batch has fewer sequences than tokens in its longest, so each is
+    # pooled by position.
     embedding = np.array([[-0.0, -0.0], [-0.0, 1.0], [2.0, -0.0]])
     for batch in ([[0]], [[0], [0, 0], [0, 1, 0]], [[0, 0, 0]] * 4, [[2, 0], [0, 0]]):
         lengths = np.array([len(ids) for ids in batch])
-        pooled = _pool_by_position(embedding, batch, lengths)
+        pooled = _pool(embedding, lengths, np.concatenate(batch))
         assert_same_bits(pooled, np.stack([embedding[ids].mean(axis=0) for ids in batch]))
         assert not np.signbit(pooled[0]).any()
 

@@ -289,11 +289,11 @@ class TestScorePair:
         vocab = build_vocabulary([tokenize("alpha beta gamma delta")], 1, 10)
         ctx = init_params(d=4, d_e=4, vocab_size=len(vocab), seed=1)
         rev = init_params(d=4, d_e=4, vocab_size=len(vocab), seed=2)
-        from revrank.encoder import encode_ids
+        from revrank.encoder import encode_batch_ids
 
         texts = [("alpha", "beta"), ("gamma", "delta")]
-        c = np.stack([encode_ids(ctx, vocab.encode_text(a)) for a, _ in texts])
-        r = np.stack([encode_ids(rev, vocab.encode_text(b)) for _, b in texts])
+        c = np.stack([encode_batch_ids(ctx, [vocab.encode_text(a)])[0] for a, _ in texts])
+        r = np.stack([encode_batch_ids(rev, [vocab.encode_text(b)])[0] for _, b in texts])
         inter = interaction_matrix(c, r)
         model = DualEncoder(vocab=vocab, context=ctx, review=rev)
         scores = score_ids(

@@ -13,7 +13,6 @@ from revrank.encoder import (
     build_vocabulary,
     encode_backward_batch_ids,
     encode_batch_ids,
-    encode_ids,
     init_params,
     tokenize,
 )
@@ -111,12 +110,12 @@ class TestEncode:
         params = EncoderParams(
             embedding=np.zeros((5, 3)), projection=np.zeros((3, 2)), bias=np.zeros(2)
         )
-        assert np.array_equal(encode_ids(params, [0, 2, 4]), np.zeros(2))
+        assert np.array_equal(encode_batch_ids(params, [[0, 2, 4]])[0], np.zeros(2))
 
     def test_single_token(self):
         params = small_params()
         expected = params.embedding[3] @ params.projection + params.bias
-        assert np.allclose(encode_ids(params, [3]), expected)
+        assert np.allclose(encode_batch_ids(params, [[3]])[0], expected)
 
     def test_hand_case_2x2(self):
         params = EncoderParams(
@@ -125,27 +124,27 @@ class TestEncode:
             bias=np.array([0.25, -1.0]),
         )
         # mean of both rows = [2, 3]; @ projection = [2+1.5, 3] = [3.5, 3]
-        assert np.allclose(encode_ids(params, [0, 1]), [3.75, 2.0])
+        assert np.allclose(encode_batch_ids(params, [[0, 1]])[0], [3.75, 2.0])
 
     def test_empty_sequence_raises(self):
         with pytest.raises(ValueError):
-            encode_ids(small_params(), [])
+            encode_batch_ids(small_params(), [[]])
 
     def test_linear_in_embedding_scale(self):
         params = small_params(seed=3)
-        base = encode_ids(params, [1, 2, 5]) - params.bias
+        base = encode_batch_ids(params, [[1, 2, 5]])[0] - params.bias
         scaled = EncoderParams(
             embedding=2.5 * params.embedding,
             projection=params.projection,
             bias=params.bias,
         )
-        assert np.allclose(encode_ids(scaled, [1, 2, 5]) - params.bias, 2.5 * base)
+        assert np.allclose(encode_batch_ids(scaled, [[1, 2, 5]])[0] - params.bias, 2.5 * base)
 
     def test_encode_string_uses_unk(self):
         vocab = build_vocabulary([["hello", "world"]], min_frequency=1, max_size=10)
         params = small_params(vocab_size=len(vocab))
-        out_known = encode_ids(params, vocab.encode_text("hello"))
-        out_unknown = encode_ids(params, vocab.encode_text("zzz"))
+        out_known = encode_batch_ids(params, [vocab.encode_text("hello")])[0]
+        out_unknown = encode_batch_ids(params, [vocab.encode_text("zzz")])[0]
         expected_unk = params.embedding[vocab.unk_index] @ params.projection + params.bias
         assert np.allclose(out_unknown, expected_unk)
         assert not np.allclose(out_known, out_unknown)
@@ -155,7 +154,7 @@ class TestEncode:
         seqs = [[0, 1], [2], [3, 4, 5]]
         batch = encode_batch_ids(params, seqs)
         for row, ids in zip(batch, seqs):
-            assert np.allclose(row, encode_ids(params, ids))
+            assert np.allclose(row, encode_batch_ids(params, [ids])[0])
 
 
 class TestInit:
@@ -179,7 +178,7 @@ class TestInit:
 
 
 def finite_difference_grads(params, token_ids, upstream, h=1e-5):
-    """Central differences of upstream . encode_ids w.r.t. each block."""
+    """Central differences of upstream . (encoding of token_ids) w.r.t. each block."""
     grads = {}
     for name, arr in params.blocks().items():
         g = np.zeros_like(arr)
@@ -188,9 +187,9 @@ def finite_difference_grads(params, token_ids, upstream, h=1e-5):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            hi = float(upstream @ encode_ids(params, token_ids))
+            hi = float(upstream @ encode_batch_ids(params, [token_ids])[0])
             flat[i] = orig - h
-            lo = float(upstream @ encode_ids(params, token_ids))
+            lo = float(upstream @ encode_batch_ids(params, [token_ids])[0])
             flat[i] = orig
             gflat[i] = (hi - lo) / (2 * h)
         grads[name] = g
@@ -255,9 +254,9 @@ class TestIndependence:
     def test_two_encoders_do_not_alias(self):
         context = small_params(seed=1)
         review = small_params(seed=2)
-        before = encode_ids(review, [0, 1]).copy()
+        before = encode_batch_ids(review, [[0, 1]])[0].copy()
         context.embedding += 100.0
-        assert np.array_equal(encode_ids(review, [0, 1]), before)
+        assert np.array_equal(encode_batch_ids(review, [[0, 1]])[0], before)
 
 
 @settings(max_examples=25)
