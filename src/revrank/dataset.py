@@ -449,8 +449,8 @@ def split_dataset(
     """
     if len(fractions) != 3:
         raise ValueError("fractions must be a (train, valid, test) triple")
-    if any(f < 0 for f in fractions):
-        raise ValueError(f"fractions must be non-negative: {fractions}")
+    if not all(np.isfinite(f) and f >= 0 for f in fractions):
+        raise ValueError(f"fractions must be finite and non-negative: {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {sum(fractions)!r}")
     n = len(groups)

@@ -3,11 +3,18 @@
 Both encoders are updated once per batch from the exact analytic gradients
 of the configured loss.  The learning rate ramps linearly from zero over
 the first ceil(warmup_fraction * total_steps) steps, then stays constant.
-After every epoch the model is scored by validation MRR; the best and the
-final models are both kept (and written as checkpoints when an output
-directory is given).  Runs are bit-reproducible for a fixed
-(data, config, seed) triple; the training log's wall-clock column is the
-one intentionally non-deterministic output.
+After every epoch the model is scored by validation MRR.  The best model
+is copied when that MRR improves, after the old copy is freed, or once at
+the end if no epoch was validated; it and the final model are both kept
+(and written as checkpoints when an output directory is given).  Runs are
+bit-reproducible for a fixed (data, config, seed) triple; the training
+log's wall-clock column is the one intentionally non-deterministic output.
+
+A step runs one tower's backward and AdamW update, then the other's (a
+backward reads only its own tower and the loss's gradients), and the AdamW
+moments are freed before writing.  So the peak is the model (2 |V| x d_e
+tables), the moments (4), one gradient and the best copy (2): 9 float64
+tables, about 120 MB at |V| = 26.4k, d_e = 64.
 """
 
 from __future__ import annotations
@@ -194,7 +201,7 @@ class EpochStats:
 @dataclass
 class TrainResult:
     model: DualEncoder  # after the last epoch
-    best_model: DualEncoder  # highest validation MRR (final when no validation)
+    best_model: DualEncoder  # highest validation MRR (final if no epoch was validated)
     best_epoch: int | None
     epochs: list[EpochStats] = field(default_factory=list)
 
@@ -255,32 +262,31 @@ def train(
 
     Validation MRR is computed after each epoch on the accommodations of
     ``valid_records`` (those with at least 2 reviews), which are tokenized
-    once; the best-validation and final models are both returned, and
-    written to ``out_dir`` as best.npz / final.npz alongside the training
-    log, the vocabulary, and a config echo when a directory is given.  Each
-    file is replaced atomically, so a failed write leaves no partial file
-    behind.  A batch or validation group that ``score_ids`` cannot score
-    (non-finite embeddings or NaN dot products), or a non-finite batch loss,
-    raises FloatingPointError("training diverged at epoch E ...").
+    once.  The best model is copied when validation MRR improves (the old
+    copy freed first), or once at the end if no epoch was validated, so at
+    most 9 |V| x d_e tables are alive.  It and the final model are returned,
+    and written to ``out_dir`` as best.npz / final.npz with the training log,
+    the vocabulary and a config echo when a directory is given.  Each file
+    is replaced atomically, so a failed write leaves no partial file behind.
+    A batch or validation group that ``score_ids`` cannot score (non-finite
+    embeddings or NaN dot products), or a non-finite batch loss, raises
+    FloatingPointError("training diverged at epoch E ...").
     """
     model = initialize_model(train_records, config)
     groups = group_by_accommodation(train_records)
-    valid_groups = (
-        [g for g in group_by_accommodation(valid_records) if len(g) >= 2]
-        if valid_records
-        else []
-    )
+    valid_groups = []
+    if valid_records:
+        valid_groups = [g for g in group_by_accommodation(valid_records) if len(g) >= 2]
 
     context_ids, review_ids = record_ids(model.vocab, train_records)
     valid = [(g, record_ids(model.vocab, g.records)) for g in valid_groups]
 
-    loss_fn = LOSSES[config.loss]
     steps_per_epoch = len(_epoch_plan(train_records, groups, config, 0).batches)
     total_steps = max(config.epochs * steps_per_epoch, 1)
 
-    ctx_state = AdamWState.zeros_like(model.context)
-    rev_state = AdamWState.zeros_like(model.review)
-    result = TrainResult(model=model, best_model=model.copy(), best_epoch=None)
+    towers = (model.context, model.review)
+    states = [AdamWState.zeros_like(params) for params in towers]
+    result = TrainResult(model=model, best_model=None, best_epoch=None)
     best_val = -math.inf
     step = 0
 
@@ -292,7 +298,7 @@ def train(
             ctx_batch = [context_ids[i] for i in batch.indices]
             rev_batch = [review_ids[i] for i in batch.indices]
             try:
-                out = loss_fn(score_ids(model, ctx_batch, rev_batch))
+                out = LOSSES[config.loss](score_ids(model, ctx_batch, rev_batch))
                 if not math.isfinite(out.loss):
                     raise FloatingPointError
             except FloatingPointError:
@@ -302,12 +308,13 @@ def train(
                     f"(accommodation {acc}, records {batch.indices})"
                 ) from None
             loss_total += out.loss
-            grads_ctx = encode_backward_batch_ids(model.context, ctx_batch, out.grad_contexts)
-            grads_rev = encode_backward_batch_ids(model.review, rev_batch, out.grad_reviews)
             lr = lr_schedule(step, total_steps, config.learning_rate, config.warmup_fraction)
             step += 1
-            optimizer_step(model.context, grads_ctx, ctx_state, step, lr, config)
-            optimizer_step(model.review, grads_rev, rev_state, step, lr, config)
+            upstreams = (out.grad_contexts, out.grad_reviews)
+            for i, (params, ids) in enumerate(zip(towers, (ctx_batch, rev_batch))):
+                grads = encode_backward_batch_ids(params, ids, upstreams[i])
+                optimizer_step(params, grads, states[i], step, lr, config)
+                del grads  # before the other tower's backward makes its own
 
         val_mrr = None
         if valid_groups:
@@ -318,27 +325,20 @@ def train(
                     f"training diverged at epoch {epoch}: validation scores are not finite"
                 ) from None
             if val_mrr > best_val:
-                best_val = val_mrr
+                best_val, result.best_epoch = val_mrr, epoch
+                result.best_model = None  # release the old copy before making the new one
                 result.best_model = model.copy()
-                result.best_epoch = epoch
-        result.epochs.append(
-            EpochStats(
-                epoch=epoch,
-                mean_loss=loss_total / max(len(plan.batches), 1),
-                val_mrr=val_mrr,
-                seconds=time.perf_counter() - started,
-            )
-        )
+        mean_loss = loss_total / max(len(plan.batches), 1)
+        result.epochs.append(EpochStats(epoch, mean_loss, val_mrr, time.perf_counter() - started))
 
-    if not valid_groups:
+    del states
+    if result.best_epoch is None:  # no epoch was validated
         result.best_model = model.copy()
-        result.best_epoch = None
-    result.model = model
 
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(result.model, out_dir / "final.npz")
+        save_checkpoint(model, out_dir / "final.npz")
         save_checkpoint(result.best_model, out_dir / "best.npz")
         texts = {
             "train_log.txt": result.log_text(),

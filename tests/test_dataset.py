@@ -250,6 +250,8 @@ class TestSplit:
             split_dataset(groups, (0.5, 0.4, 0.2), seed=0)
         with pytest.raises(ValueError):
             split_dataset(groups, (0.9, 0.2, -0.1), seed=0)
+        with pytest.raises(ValueError, match=r"finite.*\(nan, 0\.5, 0\.5\)"):
+            split_dataset(groups, (math.nan, 0.5, 0.5), seed=0)
 
     def test_too_few_groups(self):
         groups = group_by_accommodation([make_record(acc_id="a"), make_record(acc_id="b")])

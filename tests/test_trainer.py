@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from revrank.dataset import GuestType, group_by_accommodation
+from revrank.dataset import GuestType, group_by_accommodation, split_dataset
 from revrank.encoder import EncoderGradients, init_params, load_checkpoint
 from revrank.evaluation import model_rank_group, mrr
 from revrank.config import config_to_text, parse_config_file
+from revrank.synthgen import SynthConfig, generate
 from revrank.trainer import (
     PRESETS,
     AdamWState,
@@ -45,6 +47,13 @@ def learnable_records(n_acc=6, per_type=2):
                     )
                 )
     return records
+
+
+def synthetic_parts(fractions, **synth):
+    """Train and valid records of a split synthetic corpus."""
+    groups = group_by_accommodation(generate(SynthConfig(**synth)))
+    parts = split_dataset(groups, fractions, seed=0)
+    return [[r for g in part for r in g.records] for part in parts[:2]]
 
 
 class TestTrainConfig:
@@ -226,6 +235,45 @@ class TestTrain:
         mrrs = [s.val_mrr for s in result.epochs]
         assert all(v is not None and 0.0 <= v <= 1.0 for v in mrrs)
         assert max(mrrs) == mrrs[result.best_epoch - 1]
+
+    def test_zero_epochs_best_checkpoint_is_final(self, tmp_path):
+        records = learnable_records(n_acc=2, per_type=1)
+        valid = learnable_records(n_acc=2, per_type=1)
+        result = train(records, valid, desk_config(epochs=0), out_dir=tmp_path)
+        assert result.best_epoch is None
+        assert (tmp_path / "best.npz").read_bytes() == (tmp_path / "final.npz").read_bytes()
+
+    def test_best_model_replays_best_epoch(self):
+        # Without warmup the learning rate is constant, so a run stopped at
+        # best_epoch replays the first epochs of the longer run.
+        train_part, valid_part = synthetic_parts((0.5, 0.5, 0.0), n_accommodations=16, seed=1)
+        config = desk_config(epochs=3, warmup_fraction=0.0, loss="infonce", learning_rate=1e-3)
+        result = train(train_part, valid_part, config)
+        assert result.best_epoch == 2  # so a best model aliased to the live one would differ
+        replay = train(train_part, valid_part, replace(config, epochs=2)).model
+        for tower in ("context", "review"):
+            best, want = getattr(result.best_model, tower), getattr(replay, tower)
+            for name, array in best.blocks().items():
+                assert array.tobytes() == want.blocks()[name].tobytes(), (tower, name)
+        assert result.model.review.embedding.tobytes() != replay.review.embedding.tobytes()
+
+    def test_peak_memory_is_bounded(self, tmp_path):
+        # The model (2 tables), the AdamW moments (4), one gradient and the
+        # best copy (2) are 9 |V| x d_e tables; tracemalloc sees numpy's.
+        lexicon = tuple(f"w{i}" for i in range(20000))
+        train_part, valid_part = synthetic_parts(
+            (0.8, 0.1, 0.1), n_accommodations=30, background_lexicon=lexicon,
+            signal_strength=0.2, seed=1,
+        )
+        tracemalloc.start()
+        try:
+            result = train(train_part, valid_part, TrainConfig(epochs=1), out_dir=tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = result.model.context.embedding
+        assert table.shape[0] > 2000 and result.best_epoch == 1
+        assert peak < 10 * table.nbytes
 
     def test_validation_mrr_matches_group_ranking(self):
         # validation ranks pre-tokenized ids; evaluation ranks each group

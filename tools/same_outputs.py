@@ -1,0 +1,151 @@
+"""Check that two checkouts of revrank produce the same outputs.
+
+    python3 tools/same_outputs.py PARENT CHANGE
+
+PARENT and CHANGE are the roots of two checkouts.  The inputs are written
+once, with PARENT's ``bench/inputs.write_inputs``: the train-desk corpus of
+seed 5 and the train-widevocab corpus of seed 3.  Each side then runs the
+same commands in a subprocess, with its own ``src`` on ``PYTHONPATH``, one
+BLAS thread and ``PYTHONHASHSEED=0``:
+
+- ``train --preset desk`` on train-desk with default flags, ``--epochs 0``,
+  ``--split 1,0,0 --epochs 2`` and ``--d 1 --d-e 1 --epochs 2``, and on
+  train-widevocab with ``--epochs 1``;
+- after each training, ``evaluate --split 0.8,0.1,0.1 --methods
+  model,votes,untrained`` and ``rank`` on ``small.csv`` and ``large.csv``,
+  all from ``best.npz``.
+
+Every written file and every command's exit code and standard output are
+compared, with ``seconds=`` values masked and each side's output directory
+replaced by a placeholder.  One line is printed per output; the exit code
+is 0 only when all of them are identical and every command exited 0, so
+that a command line both sides reject cannot pass.  Nothing under either
+checkout is written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+CORPORA = {"desk": ("train-desk", 5), "widevocab": ("train-widevocab", 3)}
+TRAININGS = {
+    "desk-default": ("desk", ()),
+    "desk-epochs0": ("desk", ("--epochs", "0")),
+    "desk-nosplit": ("desk", ("--split", "1,0,0", "--epochs", "2")),
+    "desk-d1": ("desk", ("--d", "1", "--d-e", "1", "--epochs", "2")),
+    "widevocab": ("widevocab", ("--epochs", "1")),
+}
+CONTEXT = (
+    "--context", "guest_type=Couple", "--context", "guest_country=France",
+    "--context", "room_nights=3", "--context", "month=July",
+)
+SECONDS = re.compile(rb"seconds=[0-9.]+")
+
+WRITE_INPUTS = """
+import sys
+from pathlib import Path
+from inputs import WORKLOADS, workload_pool, write_inputs
+workload = WORKLOADS[sys.argv[1]]
+seed = int(sys.argv[2])
+write_inputs(workload, seed, Path(sys.argv[3]), workload_pool(workload, seed))
+"""
+
+
+def environment(src: Path, *more: Path) -> dict[str, str]:
+    env = dict(os.environ)
+    env.update(
+        PYTHONPATH=os.pathsep.join(str(p) for p in (src, *more)),
+        OPENBLAS_NUM_THREADS="1",
+        PYTHONHASHSEED="0",
+        PYTHONDONTWRITEBYTECODE="1",  # leave both checkouts untouched
+    )
+    return env
+
+
+def run(argv: list[str], env: dict[str, str], cwd: Path) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *argv], env=env, cwd=cwd, capture_output=True, check=False
+    )
+
+
+def write_inputs(parent: Path, work: Path) -> dict[str, Path]:
+    env = environment(parent / "src", parent / "bench")
+    dirs = {}
+    for name, (workload, seed) in CORPORA.items():
+        dirs[name] = work / "inputs" / name
+        done = run(["-c", WRITE_INPUTS, workload, str(seed), str(dirs[name])], env, work)
+        if done.returncode != 0:
+            raise SystemExit(f"error: writing the {workload} inputs failed:\n"
+                             f"{done.stderr.decode(errors='replace')}")
+    return dirs
+
+
+def side_outputs(checkout: Path, out: Path, inputs: dict[str, Path]) -> dict[str, bytes]:
+    """Every output of one checkout, by name, masked and normalized."""
+    env = environment(checkout / "src")
+    outputs = {}
+
+    def command(key: str, argv: list[str]) -> None:
+        done = run(["-m", "revrank", *argv], env, out)
+        outputs[f"{key} exit"] = str(done.returncode).encode()
+        outputs[f"{key} stdout"] = done.stdout
+
+    for training, (corpus, flags) in TRAININGS.items():
+        data = inputs[corpus]
+        ckpt = out / training
+        command(f"{training}/train", ["train", "--preset", "desk", *flags,
+                                      "--data", str(data / "corpus.csv"), "--out", str(ckpt)])
+        best = str(ckpt / "best.npz")
+        command(f"{training}/evaluate", [
+            "evaluate", "--checkpoint", best, "--data", str(data / "corpus.csv"),
+            "--split", "0.8,0.1,0.1", "--methods", "model,votes,untrained"])
+        for reviews, top in (("small", "12"), ("large", "500")):
+            command(f"{training}/rank-{reviews}", [
+                "rank", "--checkpoint", best, "--reviews", str(data / f"{reviews}.csv"),
+                "--top", top, *CONTEXT])
+        for path in sorted(ckpt.iterdir()) if ckpt.is_dir() else ():
+            outputs[f"{training}/{path.name}"] = path.read_bytes()
+    return {
+        key: SECONDS.sub(b"seconds=*", value.replace(str(out).encode(), b"<OUT>"))
+        for key, value in outputs.items()
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="root of the reference checkout")
+    parser.add_argument("change", type=Path, help="root of the checkout under test")
+    args = parser.parse_args(argv)
+    parent, change = args.parent.resolve(), args.change.resolve()
+    for root in (parent, change):
+        if not (root / "src" / "revrank").is_dir():
+            print(f"error: {root} is not a revrank checkout", file=sys.stderr)
+            return 1
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
+        work = Path(tmp)
+        inputs = write_inputs(parent, work)
+        sides = []
+        for name, root in (("parent", parent), ("change", change)):
+            (work / name).mkdir()
+            sides.append(side_outputs(root, work / name, inputs))
+    keys = sorted(set(sides[0]) | set(sides[1]))
+    bad = 0
+    for key in keys:
+        values = (sides[0].get(key), sides[1].get(key))
+        verdict = "same" if values[0] == values[1] else "DIFFERS"
+        if key.endswith(" exit") and values != (b"0", b"0"):
+            verdict = f"FAILED ({values[0]!r}, {values[1]!r})"
+        bad += verdict != "same"
+        print(f"{verdict}  {key}")
+    print(f"{len(keys) - bad} of {len(keys)} outputs same")
+    return 0 if bad == 0 else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
