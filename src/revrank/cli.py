@@ -69,7 +69,13 @@ def _parse_fractions(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
         raise CliError(1, f"--split needs three comma-separated fractions, got {text!r}")
-    return tuple(float(p) for p in parts)  # type: ignore[return-value]
+    fractions = []
+    for part in parts:
+        try:
+            fractions.append(float(part))
+        except ValueError:
+            raise CliError(1, f"--split fraction {part!r} is not a number (in {text!r})") from None
+    return tuple(fractions)  # type: ignore[return-value]
 
 
 def _split_parts(records, fractions, seed: int) -> dict[str, list]:

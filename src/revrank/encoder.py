@@ -17,16 +17,20 @@ over the batch, as in ``(pooled[:, None, :] @ projection)[:, 0, :]``; a
 plain matrix product of the batch sums in another order.
 
 Pooling is ``embedding[ids].mean(axis=0)`` to the bit, which for a float64
-table with d_e > 1 follows that rule.  Both passes pool through ``_pool``,
+table with d_e > 1 follows that rule.  ``pool_ids`` pools through ``_pool``,
 which sorts the batch longest first, starts from each sequence's
 first-token row plus 0.0, and adds position p's rows into the prefix of
 sequences longer than p.  (For d_e = 1 numpy sums the one column pairwise,
 and a float16 table in float32, so such tables are pooled one sequence at a
-time.)  In the embedding gradient a token's occurrences in one sequence are
-added first, then the sequences' sums for one row, in batch order:
+time.)  Both passes take its ``PooledBatch``, so a training step that hands
+the forward's batch to the backward pools each tower's batch once.  In the
+embedding gradient a token's occurrences in one sequence are added first,
+then the sequences' sums for one row, in batch order:
 ``encode_backward_batch_ids`` makes vectorized adds over the batch's
-distinct (token, sequence) pairs and one ``np.bincount``, with no dense
-|V| x d_e buffer per sequence.
+distinct (token, sequence) pairs and one ``np.bincount`` over one slot per
+distinct token.  So the embedding gradient is row-sparse: the batch's
+distinct rows and their values, never a dense |V| x d_e table; every other
+row's gradient is +0.0.
 
 A trained model is a ``DualEncoder``: one shared vocabulary plus two
 independent parameter sets, one for contexts and one for reviews.
@@ -208,9 +212,25 @@ class EncoderParams:
 
 @dataclass
 class EncoderGradients:
-    embedding: np.ndarray
-    projection: np.ndarray
-    bias: np.ndarray
+    """One encoder's gradients, the embedding's row-sparse.
+
+    ``values[k]`` is the gradient of embedding row ``rows[k]``, ``rows``
+    sorted and distinct; each other of the ``vocab_size`` rows has gradient
+    +0.0.
+    """
+
+    rows: np.ndarray  # (k,)
+    values: np.ndarray  # (k, d_e)
+    projection: np.ndarray  # (d_e, d)
+    bias: np.ndarray  # (d,)
+    vocab_size: int
+
+    @property
+    def embedding(self) -> np.ndarray:
+        """The embedding gradient as a dense |V| x d_e table, built on each read."""
+        dense = np.zeros((self.vocab_size, self.values.shape[1]), dtype=self.values.dtype)
+        dense[self.rows] = self.values
+        return dense
 
     def blocks(self) -> dict[str, np.ndarray]:
         return {"embedding": self.embedding, "projection": self.projection, "bias": self.bias}
@@ -228,19 +248,40 @@ def init_params(d: int = 64, d_e: int = 64, vocab_size: int = 1, seed: int = 0) 
     )
 
 
-def encode_batch_ids(params: EncoderParams, batches: Sequence[Sequence[int]]) -> np.ndarray:
-    """Stack of latent vectors, one row per id sequence.
+@dataclass(frozen=True, eq=False)
+class PooledBatch:
+    """Id sequences as ``_flatten`` lays them out, with their mean embeddings."""
 
-    Row i is ``embedding[batches[i]].mean(axis=0) @ projection + bias`` to
-    the bit; the module docstring gives the order of the sums.
-    """
+    lengths: np.ndarray  # (n,)
+    flat: np.ndarray  # (lengths.sum(),)
+    pooled: np.ndarray  # (n, d_e)
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+
+def pool_ids(params: EncoderParams, batches: Sequence[Sequence[int]]) -> PooledBatch:
+    """A nonempty batch of nonempty id sequences, pooled with ``params``' table."""
     lengths, flat = _flatten(batches)
     if len(lengths) == 0:
         raise ValueError("cannot encode an empty batch")
     if not lengths.all():
         raise ValueError("cannot encode an empty token sequence")
-    pooled = _pool(params.embedding, lengths, flat)
-    return (pooled[:, None, :] @ params.projection)[:, 0, :] + params.bias
+    return PooledBatch(lengths, flat, _pool(params.embedding, lengths, flat))
+
+
+def encode_batch_ids(
+    params: EncoderParams, batches: Sequence[Sequence[int]] | PooledBatch
+) -> np.ndarray:
+    """Stack of latent vectors, one row per id sequence.
+
+    Row i is ``embedding[batches[i]].mean(axis=0) @ projection + bias`` to
+    the bit; the module docstring gives the order of the sums.  A
+    ``PooledBatch`` from ``pool_ids(params, ...)`` is projected as it is.
+    """
+    if not isinstance(batches, PooledBatch):
+        batches = pool_ids(params, batches)
+    return (batches.pooled[:, None, :] @ params.projection)[:, 0, :] + params.bias
 
 
 def _flatten(batches: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -517,15 +558,16 @@ def _batch_sum(rows: np.ndarray) -> np.ndarray:
 
 def encode_backward_batch_ids(
     params: EncoderParams,
-    batches: Sequence[Sequence[int]],
+    batches: Sequence[Sequence[int]] | PooledBatch,
     upstream_rows: np.ndarray,
 ) -> EncoderGradients:
     """Exact gradients of ``sum_i upstream_rows[i] . encode_batch_ids(params, batches)[i]``.
 
-    Embedding rows absent from the batch get zero gradient; a row appearing
-    k times among a sequence's T tokens receives k/T of that sequence's
-    pooled gradient.  The summation order is the one in the module
-    docstring.
+    A row appearing k times among a sequence's T tokens receives k/T of that
+    sequence's pooled gradient; ``rows`` are the batch's distinct ids,
+    wrapped into [0, |V|) as in indexing.  The summation order is the one in
+    the module docstring.  A ``PooledBatch`` must come from ``pool_ids``
+    with these parameters, so that its pooled rows are the forward's.
     """
     upstream = np.asarray(upstream_rows, dtype=float)
     if upstream.shape != (len(batches), params.d):
@@ -533,21 +575,23 @@ def encode_backward_batch_ids(
             f"upstream gradient shape {upstream.shape} != ({len(batches)}, {params.d})"
         )
     if len(batches) == 0:
-        return EncoderGradients(**{k: np.zeros_like(a) for k, a in params.blocks().items()})
-    lengths, flat = _flatten(batches)
-    if not lengths.all():
-        raise ValueError("cannot backpropagate through an empty token sequence")
-    pooled = _pool(params.embedding, lengths, flat)
+        return EncoderGradients(
+            rows=np.zeros(0, dtype=np.intp), values=np.zeros((0, params.d_e)),
+            projection=np.zeros_like(params.projection), bias=np.zeros_like(params.bias),
+            vocab_size=params.vocab_size,
+        )
+    if not isinstance(batches, PooledBatch):
+        batches = pool_ids(params, batches)
+    lengths, flat = batches.lengths, batches.flat
     grad_bias = _batch_sum(upstream)
-    grad_projection = _batch_sum(pooled[:, :, None] * upstream[:, None, :])
+    grad_projection = _batch_sum(batches.pooled[:, :, None] * upstream[:, None, :])
     seq_grads = (params.projection @ upstream[:, :, None])[:, :, 0] / lengths[:, None]
 
     # One key per distinct (token, sequence) pair, sorted by token, then by
     # sequence; negative ids wrap as in indexing.
     n_seqs = len(lengths)
-    vocab_size = params.vocab_size
     seqs = np.repeat(np.arange(n_seqs), lengths)
-    keys, counts = np.unique(flat % vocab_size * n_seqs + seqs, return_counts=True)
+    keys, counts = np.unique(flat % params.vocab_size * n_seqs + seqs, return_counts=True)
     key_tokens, key_seqs = np.divmod(keys, n_seqs)
     # Pass 1: a sequence's k occurrences of a token, added one by one from 0.0.
     sums = seq_grads[key_seqs]
@@ -556,13 +600,15 @@ def encode_backward_batch_ids(
         more = counts >= k
         sums[more] += seq_grads[key_seqs[more]]
     # Pass 2: bincount adds each bin's weights in input order from 0.0, and
-    # the keys of one token come in batch order.
+    # the keys of one token come in batch order, all in that token's slot.
+    rows, slots = np.unique(key_tokens, return_inverse=True)
     d_e = params.d_e
-    grad_embedding = np.bincount(
-        (key_tokens[:, None] * d_e + np.arange(d_e)).ravel(),
+    values = np.bincount(
+        (slots[:, None] * d_e + np.arange(d_e)).ravel(),
         weights=sums.ravel(),
-        minlength=vocab_size * d_e,
-    ).reshape(vocab_size, d_e)
+        minlength=len(rows) * d_e,
+    ).reshape(len(rows), d_e)
     return EncoderGradients(
-        embedding=grad_embedding, projection=grad_projection, bias=grad_bias
+        rows=rows, values=values, projection=grad_projection, bias=grad_bias,
+        vocab_size=params.vocab_size,
     )

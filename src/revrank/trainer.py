@@ -3,18 +3,23 @@
 Both encoders are updated once per batch from the exact analytic gradients
 of the configured loss.  The learning rate ramps linearly from zero over
 the first ceil(warmup_fraction * total_steps) steps, then stays constant.
-After every epoch the model is scored by validation MRR.  The best model
-is copied when that MRR improves, after the old copy is freed, or once at
-the end if no epoch was validated; it and the final model are both kept
-(and written as checkpoints when an output directory is given).  Runs are
-bit-reproducible for a fixed (data, config, seed) triple; the training
-log's wall-clock column is the one intentionally non-deterministic output.
+After every epoch the model is scored by validation MRR.  When that MRR
+improves the best model is copied, after the old copy is freed, unless the
+epoch is the last one; then, as when no epoch was validated, the best model
+is the final model itself.  Both are kept (and written as checkpoints
+when an output directory is given).  Runs are bit-reproducible for a fixed (data, config,
+seed) triple; the training log's wall-clock column is the one
+intentionally non-deterministic output.
 
-A step runs one tower's backward and AdamW update, then the other's (a
-backward reads only its own tower and the loss's gradients), and the AdamW
-moments are freed before writing.  So the peak is the model (2 |V| x d_e
-tables), the moments (4), one gradient and the best copy (2): 9 float64
-tables, about 120 MB at |V| = 26.4k, d_e = 64.
+A step pools each tower's batch once, for the forward and the backward
+pass.  Then it runs one tower's backward and AdamW update, then the
+other's (a backward reads only its own tower and the loss's gradients).
+The embedding gradient holds only the rows the batch touched, and AdamW
+gives gradient terms to those rows alone; every other row takes the exact
+update of a +0.0 gradient (see ``optimizer_step``).  The AdamW moments are
+freed before writing.  So the peak is the model (2 |V| x d_e tables), the
+moments (4) and, while an earlier epoch is best, its copy (2): at most 8
+float64 tables, about 108 MB at |V| = 26.4k, d_e = 64.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import config_to_text
-from .contrastive import LOSSES, score_ids
+from .contrastive import LOSSES, interaction_matrix
 from .dataset import ReviewRecord, group_by_accommodation
 from .encoder import (
     DualEncoder,
@@ -37,7 +42,9 @@ from .encoder import (
     atomic_write,
     build_vocabulary,
     encode_backward_batch_ids,
+    encode_batch_ids,
     init_params,
+    pool_ids,
     save_checkpoint,
     tokenize,
 )
@@ -152,35 +159,60 @@ def optimizer_step(
     whole, each of its steps would make a temporary the size of the block
     (|V| x d_e for the embedding) and stream it through memory.  Instead it
     runs over chunks of ADAMW_BLOCK_ROWS rows, writing into two scratch
-    buffers with ``out=``.  Every element still goes through the same
-    operations in the same order, so the result is bit-identical to the
-    whole-array expression.  A non-finite gradient raises FloatingPointError
-    before its chunk is changed.
+    buffers with ``out=``.
+
+    The embedding has two classes of rows.  The rows the batch touched,
+    ``grads.rows``, have their moments gathered and given the gradient
+    terms m*b1 + (1-b1)*g and v*b2 + ((1-b2)*g)*g before any chunk is
+    updated.  Every other row has gradient +0.0 (``np.bincount`` never sums
+    to -0.0), so its terms are exactly m*b1 + 0.0 (the +0.0 turns -0.0
+    into +0.0) and v*b2: v starts at +0.0 and only adds ((1-b2)*g)*g >= +0,
+    so neither v nor v*b2 is ever -0.0.  Each chunk applies those two terms
+    to all its rows, writes its touched rows' moments back over them, and
+    runs the tail every row shares.  Projection and bias take every term
+    chunk by chunk.  Each element thus goes through the operations of the
+    whole-array expression fed the dense gradient, in the same order, so
+    the result is bit-identical to it.  A non-finite gradient raises
+    FloatingPointError before its block is changed.
     """
     if t < 1:
         raise ValueError(f"update count must be >= 1, got {t}")
-    b1, b2 = config.beta1, config.beta2
+    # The config accepts beta2 = -0.0, for which v*b2 could be -0.0; +0.0
+    # changes no other bit.
+    b1, b2 = config.beta1, config.beta2 + 0.0
     m_correction = 1 - b1**t
     v_correction = 1 - b2**t
     for name, param in params.blocks().items():
-        grad = grads.blocks()[name]
+        m, v = state.m[name], state.v[name]
+        sparse = name == "embedding"
+        grad = grads.values if sparse else getattr(grads, name)
+        if not np.all(np.isfinite(grad)):
+            raise FloatingPointError(f"non-finite gradient in {name}")
+        starts = range(0, len(param), ADAMW_BLOCK_ROWS)
+        if sparse:
+            rows = grads.rows
+            touched_m, touched_v = m[rows], v[rows]
+            _add_gradient(touched_m, touched_v, grad, np.empty_like(grad), b1, b2)
+            # The touched rows of chunk i are rows[cuts[i]:cuts[i + 1]].
+            cuts = np.searchsorted(rows, [*starts, len(param)]).tolist()
         scratch_a = np.empty_like(param[:ADAMW_BLOCK_ROWS])
         scratch_b = np.empty_like(scratch_a)
-        for start in range(0, len(param), ADAMW_BLOCK_ROWS):
-            rows = slice(start, start + ADAMW_BLOCK_ROWS)
-            p, g, m, v = param[rows], grad[rows], state.m[name][rows], state.v[name][rows]
-            if not np.all(np.isfinite(g)):
-                raise FloatingPointError(f"non-finite gradient in {name}")
+        for i, start in enumerate(starts):
+            chunk = slice(start, start + ADAMW_BLOCK_ROWS)
+            p, mc, vc = param[chunk], m[chunk], v[chunk]
             a, b = scratch_a[: len(p)], scratch_b[: len(p)]
-            m *= b1
-            np.multiply(1 - b1, g, out=a)
-            m += a
-            v *= b2
-            np.multiply(1 - b2, g, out=a)
-            a *= g
-            v += a
-            np.divide(m, m_correction, out=a)
-            np.divide(v, v_correction, out=b)
+            if sparse:
+                mc *= b1
+                mc += 0.0
+                vc *= b2
+                touched = slice(cuts[i], cuts[i + 1])
+                local = rows[touched] - start
+                mc[local] = touched_m[touched]
+                vc[local] = touched_v[touched]
+            else:
+                _add_gradient(mc, vc, grad[chunk], a, b1, b2)
+            np.divide(mc, m_correction, out=a)
+            np.divide(vc, v_correction, out=b)
             np.sqrt(b, out=b)
             b += config.eps
             a /= b
@@ -188,6 +220,17 @@ def optimizer_step(
             a += b
             a *= lr
             p -= a
+
+
+def _add_gradient(m, v, g, scratch, b1: float, b2: float) -> None:
+    """m <- m*b1 + (1-b1)*g and v <- v*b2 + ((1-b2)*g)*g, in place."""
+    m *= b1
+    np.multiply(1 - b1, g, out=scratch)
+    m += scratch
+    v *= b2
+    np.multiply(1 - b2, g, out=scratch)
+    scratch *= g
+    v += scratch
 
 
 @dataclass
@@ -201,7 +244,9 @@ class EpochStats:
 @dataclass
 class TrainResult:
     model: DualEncoder  # after the last epoch
-    best_model: DualEncoder  # highest validation MRR (final if no epoch was validated)
+    # Highest validation MRR; ``model`` itself when the last epoch is best or
+    # no epoch was validated.
+    best_model: DualEncoder
     best_epoch: int | None
     epochs: list[EpochStats] = field(default_factory=list)
 
@@ -262,15 +307,16 @@ def train(
 
     Validation MRR is computed after each epoch on the accommodations of
     ``valid_records`` (those with at least 2 reviews), which are tokenized
-    once.  The best model is copied when validation MRR improves (the old
-    copy freed first), or once at the end if no epoch was validated, so at
-    most 9 |V| x d_e tables are alive.  It and the final model are returned,
+    once.  The best model is copied when validation MRR improves before the
+    last epoch (the old copy freed first); if the last epoch is best, or no
+    epoch was validated, it is the final model itself.  So at most 8
+    |V| x d_e tables are alive.  It and the final model are returned,
     and written to ``out_dir`` as best.npz / final.npz with the training log,
     the vocabulary and a config echo when a directory is given.  Each file
     is replaced atomically, so a failed write leaves no partial file behind.
-    A batch or validation group that ``score_ids`` cannot score (non-finite
-    embeddings or NaN dot products), or a non-finite batch loss, raises
-    FloatingPointError("training diverged at epoch E ...").
+    A batch or validation group that ``interaction_matrix`` cannot score
+    (non-finite embeddings or NaN dot products), or a non-finite batch loss,
+    raises FloatingPointError("training diverged at epoch E ...").
     """
     model = initialize_model(train_records, config)
     groups = group_by_accommodation(train_records)
@@ -295,10 +341,12 @@ def train(
         plan = _epoch_plan(train_records, groups, config, epoch - 1)
         loss_total = 0.0
         for b_idx, batch in enumerate(plan.batches):
-            ctx_batch = [context_ids[i] for i in batch.indices]
-            rev_batch = [review_ids[i] for i in batch.indices]
             try:
-                out = LOSSES[config.loss](score_ids(model, ctx_batch, rev_batch))
+                # Each tower's batch is pooled once, for both of its passes.
+                pooled = [pool_ids(params, [ids[i] for i in batch.indices])
+                          for params, ids in zip(towers, (context_ids, review_ids))]
+                out = LOSSES[config.loss](interaction_matrix(
+                    *[encode_batch_ids(params, p) for params, p in zip(towers, pooled)]))
                 if not math.isfinite(out.loss):
                     raise FloatingPointError
             except FloatingPointError:
@@ -311,10 +359,9 @@ def train(
             lr = lr_schedule(step, total_steps, config.learning_rate, config.warmup_fraction)
             step += 1
             upstreams = (out.grad_contexts, out.grad_reviews)
-            for i, (params, ids) in enumerate(zip(towers, (ctx_batch, rev_batch))):
-                grads = encode_backward_batch_ids(params, ids, upstreams[i])
+            for i, params in enumerate(towers):  # by index: no loop name keeps a state alive
+                grads = encode_backward_batch_ids(params, pooled[i], upstreams[i])
                 optimizer_step(params, grads, states[i], step, lr, config)
-                del grads  # before the other tower's backward makes its own
 
         val_mrr = None
         if valid_groups:
@@ -327,13 +374,14 @@ def train(
             if val_mrr > best_val:
                 best_val, result.best_epoch = val_mrr, epoch
                 result.best_model = None  # release the old copy before making the new one
-                result.best_model = model.copy()
+                # No later epoch changes the model after the last one.
+                result.best_model = model if epoch == config.epochs else model.copy()
         mean_loss = loss_total / max(len(plan.batches), 1)
         result.epochs.append(EpochStats(epoch, mean_loss, val_mrr, time.perf_counter() - started))
 
     del states
     if result.best_epoch is None:  # no epoch was validated
-        result.best_model = model.copy()
+        result.best_model = model
 
     if out_dir is not None:
         out_dir = Path(out_dir)

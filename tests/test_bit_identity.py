@@ -3,9 +3,9 @@
 ``encode_batch_ids``, ``encode_backward_batch_ids`` and ``optimizer_step``
 are written for speed but must perform the same floating-point operations,
 in the same order, as the plain per-sequence forward and backward and the
-whole-array AdamW expression below.  These tests compare them bit for bit,
-signed zeros included; inputs are NaN-free so equality plus sign bits is
-bit identity.
+whole-array AdamW expression below, which takes a dense gradient.  These
+tests compare them bit for bit, signed zeros included; inputs are NaN-free
+so equality plus sign bits is bit identity.
 """
 
 import numpy as np
@@ -25,6 +25,7 @@ from revrank.encoder import (
     encode_backward_batch_ids,
     encode_batch_ids,
     load_checkpoint,
+    pool_ids,
     save_checkpoint,
 )
 from revrank.trainer import (
@@ -54,7 +55,7 @@ def reference_forward(params, batches):
 
 
 def reference_backward(params, batches, upstream_rows):
-    """Per-sequence dense gradients, summed in batch order."""
+    """Per-sequence dense gradients, summed in batch order, by block name."""
     grad_embedding = np.zeros_like(params.embedding)
     grad_projection = np.zeros_like(params.projection)
     grad_bias = np.zeros_like(params.bias)
@@ -70,16 +71,17 @@ def reference_backward(params, batches, upstream_rows):
         grad_embedding += row_embedding
         grad_projection += row_projection
         grad_bias += row_bias
-    return EncoderGradients(
-        embedding=grad_embedding, projection=grad_projection, bias=grad_bias
-    )
+    return {"embedding": grad_embedding, "projection": grad_projection, "bias": grad_bias}
 
 
 def reference_adamw(params, grads, state, t, lr, config):
-    """Whole-array bias-corrected AdamW with decoupled weight decay."""
+    """Whole-array bias-corrected AdamW with decoupled weight decay.
+
+    ``grads`` holds each block's dense gradient, by name.
+    """
     b1, b2 = config.beta1, config.beta2
     for name, p in params.blocks().items():
-        g = grads.blocks()[name]
+        g = grads[name]
         m = state.m[name]
         v = state.v[name]
         m *= b1
@@ -159,10 +161,16 @@ def test_backward_matches_per_sequence_reference(case):
     upstream = with_signed_zeros(rng, (len(batches), d))
     if zero_upstream is not None:
         upstream[0] = zero_upstream
-    actual = encode_backward_batch_ids(params, batches, upstream)
     expected = reference_backward(params, batches, upstream)
-    for name, block in expected.blocks().items():
-        assert_same_bits(actual.blocks()[name], block)
+    # Training hands over the forward's pooled batch; tests may pass ids.
+    for actual in (encode_backward_batch_ids(params, batches, upstream),
+                   encode_backward_batch_ids(params, pool_ids(params, batches), upstream)):
+        for name, block in expected.items():
+            assert_same_bits(actual.blocks()[name], block)
+        # The compact gradient lists exactly the batch's wrapped ids, in order.
+        wrapped = np.unique(np.concatenate(batches) % vocab_size)
+        assert actual.rows.dtype == np.intp and np.array_equal(actual.rows, wrapped)
+        assert_same_bits(actual.values, expected["embedding"][wrapped])
 
 
 def test_backward_signed_zero_upstream():
@@ -172,7 +180,7 @@ def test_backward_signed_zero_upstream():
     upstream = np.full((3, 2), -0.0)
     actual = encode_backward_batch_ids(params, batches, upstream)
     expected = reference_backward(params, batches, upstream)
-    for name, block in expected.blocks().items():
+    for name, block in expected.items():
         assert_same_bits(actual.blocks()[name], block)
     assert not np.signbit(actual.embedding).any()
 
@@ -180,33 +188,65 @@ def test_backward_signed_zero_upstream():
 def test_backward_empty_batch_is_zero():
     params = random_params(np.random.default_rng(1), 4, 3, 2)
     grads = encode_backward_batch_ids(params, [], np.zeros((0, 2)))
-    for name, block in reference_backward(params, [], np.zeros((0, 2))).blocks().items():
+    for name, block in reference_backward(params, [], np.zeros((0, 2))).items():
         assert_same_bits(grads.blocks()[name], block)
+    assert grads.rows.size == 0
 
 
-@settings(max_examples=40, deadline=None)
+def touched_rows(rng, vocab_size, kind):
+    """Sorted distinct rows: none, one, every row, or a random subset."""
+    if kind == "empty":
+        return np.zeros(0, dtype=np.intp)
+    if kind == "one":
+        return rng.integers(vocab_size, size=1)
+    if kind == "all":
+        return np.arange(vocab_size)
+    return np.sort(rng.choice(vocab_size, size=rng.integers(vocab_size + 1), replace=False))
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     vocab_size=st.sampled_from(VOCAB_SIZES),
     dims=st.sampled_from(DIMENSIONS),
     lr=st.sampled_from((1e-2, 3e-5, 0.37)),
     weight_decay=st.sampled_from((0.0, 0.01)),
+    beta1=st.sampled_from((0.9, 0.5, 0.0)),
+    # -0.0 passes the config's range check.
+    beta2=st.sampled_from((0.999, -0.0)),
+    touched=st.sampled_from(("empty", "one", "all", "random")),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_adamw_matches_whole_array_reference(vocab_size, dims, lr, weight_decay, seed):
+def test_adamw_matches_whole_array_reference(
+    vocab_size, dims, lr, weight_decay, beta1, beta2, touched, seed
+):
     d_e, d = dims
     rng = np.random.default_rng(seed)
-    config = TrainConfig(weight_decay=weight_decay)
+    config = TrainConfig(weight_decay=weight_decay, beta1=beta1, beta2=beta2)
     params = random_params(rng, vocab_size, d_e, d)
     expected = params.copy()
-    state = AdamWState.zeros_like(params)
-    expected_state = AdamWState.zeros_like(params)
+    # Moments as training leaves them: m any sign, v never -0.0.
+    state = AdamWState(
+        m={name: with_signed_zeros(rng, block.shape) for name, block in params.blocks().items()},
+        v={name: np.abs(with_signed_zeros(rng, block.shape))
+           for name, block in params.blocks().items()},
+    )
+    expected_state = AdamWState(
+        m={name: block.copy() for name, block in state.m.items()},
+        v={name: block.copy() for name, block in state.v.items()},
+    )
     for t in (1, 2, 3):
-        grads = EncoderGradients(**{
-            name: with_signed_zeros(rng, block.shape)
-            for name, block in params.blocks().items()
-        })
+        rows = touched_rows(rng, vocab_size, touched)
+        grads = EncoderGradients(
+            rows=rows,
+            values=with_signed_zeros(rng, (len(rows), d_e)),
+            projection=with_signed_zeros(rng, (d_e, d)),
+            bias=with_signed_zeros(rng, (d,)),
+            vocab_size=vocab_size,
+        )
+        dense = grads.blocks()  # +0.0 in the rows the batch did not touch
+        assert not np.signbit(np.delete(dense["embedding"], rows, axis=0)).any()
         optimizer_step(params, grads, state, t, lr, config)
-        reference_adamw(expected, grads, expected_state, t, lr, config)
+        reference_adamw(expected, dense, expected_state, t, lr, config)
         for name, block in expected.blocks().items():
             assert_same_bits(params.blocks()[name], block)
             assert_same_bits(state.m[name], expected_state.m[name])

@@ -188,6 +188,13 @@ class TestTrain:
     def test_unknown_flag_exit_1(self, corpus_csv):
         assert main(["train", "--data", str(corpus_csv), "--bogus-flag", "1"]) == 1
 
+    def test_non_numeric_split_exit_1(self, corpus_csv, tmp_path, capsys):
+        assert main(["train", "--data", str(corpus_csv), "--split", "x,0.5,0.5",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: --split fraction 'x' is not a number (in 'x,0.5,0.5')\n")
+        assert not (tmp_path / "out").exists()
+
     def test_divergence_exit_1_one_line(self, corpus_csv, tmp_path):
         # A subprocess, so that warnings printed to stderr are seen too.
         env = dict(os.environ, PYTHONPATH=str(Path(revrank.__file__).parents[1]))
@@ -257,6 +264,12 @@ class TestEvaluate:
     def test_unknown_method_exit_1(self, corpus_csv, capsys):
         assert main(["evaluate", "--data", str(corpus_csv), "--methods", "oracle"]) == 1
         assert "oracle" in capsys.readouterr().err
+
+    def test_non_numeric_split_exit_1(self, corpus_csv, capsys):
+        assert main(["evaluate", "--data", str(corpus_csv), "--methods", "votes",
+                     "--split", "0.8,0.1,"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --split fraction '' is not a number (in '0.8,0.1,')\n")
 
     def test_model_without_checkpoint_exit_1(self, corpus_csv):
         assert main(["evaluate", "--data", str(corpus_csv), "--methods", "model"]) == 1

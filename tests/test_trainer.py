@@ -140,9 +140,11 @@ def scalar_params(value=1.0):
 
 def grads_like(params, value):
     return EncoderGradients(
-        embedding=np.full_like(params.embedding, value),
+        rows=np.arange(params.vocab_size),
+        values=np.full_like(params.embedding, value),
         projection=np.full_like(params.projection, value),
         bias=np.full_like(params.bias, value),
+        vocab_size=params.vocab_size,
     )
 
 
@@ -243,6 +245,15 @@ class TestTrain:
         assert result.best_epoch is None
         assert (tmp_path / "best.npz").read_bytes() == (tmp_path / "final.npz").read_bytes()
 
+    def test_last_epoch_best_is_final_model(self, tmp_path):
+        # The first validated epoch improves on nothing, so it is best.
+        records = learnable_records(n_acc=2, per_type=1)
+        valid = learnable_records(n_acc=2, per_type=1)
+        result = train(records, valid, desk_config(epochs=1), out_dir=tmp_path)
+        assert result.best_epoch == 1
+        assert result.best_model is result.model
+        assert (tmp_path / "best.npz").read_bytes() == (tmp_path / "final.npz").read_bytes()
+
     def test_best_model_replays_best_epoch(self):
         # Without warmup the learning rate is constant, so a run stopped at
         # best_epoch replays the first epochs of the longer run.
@@ -250,6 +261,7 @@ class TestTrain:
         config = desk_config(epochs=3, warmup_fraction=0.0, loss="infonce", learning_rate=1e-3)
         result = train(train_part, valid_part, config)
         assert result.best_epoch == 2  # so a best model aliased to the live one would differ
+        assert result.best_model is not result.model
         replay = train(train_part, valid_part, replace(config, epochs=2)).model
         for tower in ("context", "review"):
             best, want = getattr(result.best_model, tower), getattr(replay, tower)
@@ -258,8 +270,9 @@ class TestTrain:
         assert result.model.review.embedding.tobytes() != replay.review.embedding.tobytes()
 
     def test_peak_memory_is_bounded(self, tmp_path):
-        # The model (2 tables), the AdamW moments (4), one gradient and the
-        # best copy (2) are 9 |V| x d_e tables; tracemalloc sees numpy's.
+        # The model (2 tables) and the AdamW moments (4) are 6 |V| x d_e
+        # tables; the best epoch is the last, so there is no best copy.
+        # tracemalloc sees numpy's tables and Python's token lists.
         lexicon = tuple(f"w{i}" for i in range(20000))
         train_part, valid_part = synthetic_parts(
             (0.8, 0.1, 0.1), n_accommodations=30, background_lexicon=lexicon,
@@ -273,7 +286,7 @@ class TestTrain:
             tracemalloc.stop()
         table = result.model.context.embedding
         assert table.shape[0] > 2000 and result.best_epoch == 1
-        assert peak < 10 * table.nbytes
+        assert peak < 8 * table.nbytes
 
     def test_validation_mrr_matches_group_ranking(self):
         # validation ranks pre-tokenized ids; evaluation ranks each group

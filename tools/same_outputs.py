@@ -10,7 +10,8 @@ BLAS thread and ``PYTHONHASHSEED=0``:
 
 - ``train --preset desk`` on train-desk with default flags, ``--epochs 0``,
   ``--split 1,0,0 --epochs 2`` and ``--d 1 --d-e 1 --epochs 2``, and on
-  train-widevocab with ``--epochs 1``;
+  train-widevocab with ``--epochs 1`` and ``--epochs 2`` (a wide table
+  whose best model is the final one, or a copy when epoch 1 is best);
 - after each training, ``evaluate --split 0.8,0.1,0.1 --methods
   model,votes,untrained`` and ``rank`` on ``small.csv`` and ``large.csv``,
   all from ``best.npz``.
@@ -40,6 +41,7 @@ TRAININGS = {
     "desk-nosplit": ("desk", ("--split", "1,0,0", "--epochs", "2")),
     "desk-d1": ("desk", ("--d", "1", "--d-e", "1", "--epochs", "2")),
     "widevocab": ("widevocab", ("--epochs", "1")),
+    "widevocab-epochs2": ("widevocab", ("--epochs", "2")),
 }
 CONTEXT = (
     "--context", "guest_type=Couple", "--context", "guest_country=France",
