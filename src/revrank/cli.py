@@ -35,7 +35,7 @@ from .dataset import (
     write_csv,
     GuestContext,
 )
-from .encoder import DualEncoder, init_params, load_checkpoint
+from .encoder import init_model, load_checkpoint
 from .evaluation import (
     evaluate_methods,
     format_eval_report,
@@ -85,6 +85,11 @@ def _split_parts(records, fractions, seed: int) -> dict[str, list]:
         name: [r for g in groups for r in g.records]
         for name, groups in zip(("train", "valid", "test"), parts)
     }
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise CliError(1, f"--seed must be >= 0, got {seed}")
 
 
 @contextmanager
@@ -149,18 +154,8 @@ def cmd_train(args) -> int:
 # --- evaluate ---------------------------------------------------------------
 
 
-def _untrained_like(model: DualEncoder, seed: int) -> DualEncoder:
-    """Same vocabulary and shapes as ``model``, freshly initialized."""
-    d_e, d = model.context.projection.shape
-    vocab_size = model.context.embedding.shape[0]
-    return DualEncoder(
-        vocab=model.vocab,
-        context=init_params(d, d_e, vocab_size, seed=seed),
-        review=init_params(d, d_e, vocab_size, seed=seed + 1),
-    )
-
-
 def cmd_evaluate(args) -> int:
+    _check_seed(args.seed)
     method_names = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not method_names:
         raise CliError(1, "--methods must name at least one method")
@@ -192,7 +187,8 @@ def cmd_evaluate(args) -> int:
         if name == "model":
             rankers.append((name, rank_model))
         elif name == "untrained":
-            fresh = _untrained_like(model, args.seed)
+            fresh = init_model(model.vocab, model.context.d, model.context.d_e,
+                               (args.seed, args.seed + 1))
             rankers.append((name, lambda g, m=fresh: model_rank_group(m, g, group_ids(g))))
         elif name == "votes":
             rankers.append((name, helpful_votes_ranking))
@@ -269,6 +265,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _check_seed(args.seed)
     model = load_checkpoint(args.checkpoint)
     baseline = load_checkpoint(args.baseline_checkpoint)
     lexicon = parse_lexicon(Path(args.lexicon).read_text(encoding="utf-8"))

@@ -354,6 +354,12 @@ class DualEncoder:
         )
 
 
+def init_model(vocab: Vocabulary, d: int, d_e: int, seeds: tuple[int, int]) -> DualEncoder:
+    """Fresh towers over ``vocab``: context from ``seeds[0]``, review from ``seeds[1]``."""
+    context, review = (init_params(d, d_e, len(vocab), seed=seed) for seed in seeds)
+    return DualEncoder(vocab=vocab, context=context, review=review)
+
+
 @contextmanager
 def atomic_write(path: str | Path) -> Iterator[BinaryIO]:
     """Binary file whose contents replace ``path`` only if the block succeeds.

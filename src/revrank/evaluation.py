@@ -36,7 +36,7 @@ from scipy.special import gammaincc
 from .contrastive import score_ids
 from .dataset import AccommodationGroup, ReviewRecord
 from .encoder import DualEncoder, Vocabulary, tokenize
-from .textualize import review_text, serialize_record
+from .textualize import record_tokens, review_text
 
 # Both map one accommodation group to an array: a rank vector (one own-review
 # rank per context) or an m x m score matrix (rows: contexts).
@@ -70,9 +70,9 @@ def record_ids(vocab: Vocabulary, records: Sequence[ReviewRecord]) -> TokenIds:
     """Context and review token ids of each record, in record order."""
     contexts, reviews = [], []
     for record in records:
-        ctx_text, rev_text = serialize_record(record)
-        contexts.append(vocab.encode_text(ctx_text))
-        reviews.append(vocab.encode_text(rev_text))
+        context, review = record_tokens(record)
+        contexts.append(vocab.encode_tokens(context))
+        reviews.append(vocab.encode_tokens(review))
     return contexts, reviews
 
 
@@ -416,6 +416,16 @@ def _top_other(scores: np.ndarray, j: int) -> int:
     return best if best < j else best + 1
 
 
+def _checked_scores(which: str, scorer: GroupScorer, group: AccommodationGroup) -> np.ndarray:
+    """The group's m x m score matrix from ``scorer``, its shape and NaNs checked."""
+    scores = np.asarray(scorer(group), dtype=float)
+    if scores.shape != (len(group), len(group)):
+        raise ValueError(f"{which} scorer returned shape {scores.shape} for {len(group)} reviews")
+    if np.isnan(scores).any():
+        raise ValueError(f"{which} scorer produced NaN scores")
+    return scores
+
+
 def topic_overlap_report(
     groups: Sequence[AccommodationGroup],
     model_scorer: GroupScorer,
@@ -468,27 +478,16 @@ def topic_overlap_report(
         picks = rng.choice(len(candidates), size=n_samples, replace=False)
         chosen = [candidates[int(i)] for i in sorted(picks)]
 
-    score_cache: dict[tuple[int, str], np.ndarray] = {}
-
-    def scores_for(g_idx: int, which: str, scorer: GroupScorer) -> np.ndarray:
-        key = (g_idx, which)
-        if key not in score_cache:
-            group = eligible[g_idx]
-            scores = np.asarray(scorer(group), dtype=float)
-            if scores.shape != (len(group), len(group)):
-                raise ValueError(
-                    f"{which} scorer returned shape {scores.shape} for {len(group)} reviews"
-                )
-            if np.isnan(scores).any():
-                raise ValueError(f"{which} scorer produced NaN scores")
-            score_cache[key] = scores
-        return score_cache[key]
-
+    # Each sampled group is scored once, by the model and then the baseline.
+    scores = {
+        g_idx: (_checked_scores("model", model_scorer, eligible[g_idx]),
+                _checked_scores("baseline", baseline_scorer, eligible[g_idx]))
+        for g_idx in sorted({g_idx for g_idx, _ in chosen})
+    }
     rows = []
     for g_idx, j in chosen:
         group = eligible[g_idx]
-        model_pick_index = _top_other(scores_for(g_idx, "model", model_scorer), j)
-        base_pick_index = _top_other(scores_for(g_idx, "baseline", baseline_scorer), j)
+        model_pick_index, base_pick_index = (_top_other(m, j) for m in scores[g_idx])
         original = review_text(group.records[j].review)
         model_pick = review_text(group.records[model_pick_index].review)
         base_pick = review_text(group.records[base_pick_index].review)

@@ -121,6 +121,8 @@ class SynthConfig:
             raise ValueError(f"vote_fraction outside [0, 1]: {self.vote_fraction}")
         if not (math.isfinite(self.score_noise) and self.score_noise >= 0):
             raise ValueError(f"score_noise must be finite and >= 0, got {self.score_noise}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if set(self.segment_lexicons) != set(GuestType):
             raise ValueError("segment_lexicons must cover every guest type")
         pools = [tuple(self.background_lexicon)] + [

@@ -7,13 +7,16 @@ fixed order; fields whose value is an empty string are skipped.  Formatting
 is exact so serialized strings can serve as byte-level regression fixtures:
 scores and ratings use one decimal place, counts are plain integers,
 booleans are "true"/"false", and enums use their display labels.
-``review_text`` is a review's free text alone, without field names, as
-topic detection and the synthetic corpus's Bayes oracle read it.
+``record_tokens`` tokenizes both inputs of a record; it is the one routine
+that turns a record into the model's tokens.  ``review_text`` is a
+review's free text alone, without field names, as topic detection and the
+synthetic corpus's Bayes oracle read it.
 """
 
 from __future__ import annotations
 
 from .dataset import AccommodationContext, GuestContext, Review, ReviewRecord
+from .encoder import tokenize
 
 
 def _line(name: str, value: str) -> str:
@@ -86,3 +89,9 @@ def serialize_record(record: ReviewRecord) -> tuple[str, str]:
         serialize_context(record.guest, record.accommodation),
         serialize_review(record.review),
     )
+
+
+def record_tokens(record: ReviewRecord) -> tuple[list[str], list[str]]:
+    """Both encoder inputs for one record, tokenized: (context, review)."""
+    context, review = serialize_record(record)
+    return tokenize(context), tokenize(review)

@@ -43,14 +43,13 @@ from .encoder import (
     build_vocabulary,
     encode_backward_batch_ids,
     encode_batch_ids,
-    init_params,
+    init_model,
     pool_ids,
     save_checkpoint,
-    tokenize,
 )
 from .evaluation import model_rank_group, mrr, record_ids
 from .sampling import in_accommodation_epoch, random_epoch
-from .textualize import serialize_record
+from .textualize import record_tokens
 
 LOSS_CHOICES = tuple(LOSSES)
 SAMPLER_CHOICES = ("random", "in_accommodation")
@@ -95,6 +94,12 @@ class TrainConfig:
             )
         if self.d < 1 or self.d_e < 1:
             raise ValueError(f"dimensions must be positive, got d={self.d} d_e={self.d_e}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.min_frequency < 1:
+            raise ValueError(f"min_frequency must be >= 1, got {self.min_frequency}")
+        if self.max_vocab_size < 1:
+            raise ValueError(f"max_vocab_size must be >= 1, got {self.max_vocab_size}")
         if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
             raise ValueError("moment coefficients must be in [0, 1)")
         if not (math.isfinite(self.eps) and self.eps > 0):
@@ -273,28 +278,18 @@ def _epoch_plan(records, groups, config: TrainConfig, epoch: int):
 
 
 def initialize_model(records: Sequence[ReviewRecord], config: TrainConfig) -> DualEncoder:
-    """Vocabulary from the given (training) records plus fresh encoders."""
+    """Vocabulary from the given (training) records plus fresh encoders.
+
+    The records' tokens are counted as they are made, one record at a time.
+    """
     if not records:
         raise ValueError("cannot initialize from an empty training split")
-    token_lists = []
-    for record in records:
-        ctx_text, rev_text = serialize_record(record)
-        token_lists.append(tokenize(ctx_text))
-        token_lists.append(tokenize(rev_text))
     vocab = build_vocabulary(
-        token_lists, min_frequency=config.min_frequency, max_size=config.max_vocab_size
+        (tokens for record in records for tokens in record_tokens(record)),
+        min_frequency=config.min_frequency, max_size=config.max_vocab_size,
     )
-    return DualEncoder(
-        vocab=vocab,
-        context=init_params(
-            d=config.d, d_e=config.d_e, vocab_size=len(vocab),
-            seed=_derive_seed(config.seed, 1),
-        ),
-        review=init_params(
-            d=config.d, d_e=config.d_e, vocab_size=len(vocab),
-            seed=_derive_seed(config.seed, 2),
-        ),
-    )
+    seeds = (_derive_seed(config.seed, 1), _derive_seed(config.seed, 2))
+    return init_model(vocab, config.d, config.d_e, seeds)
 
 
 def train(

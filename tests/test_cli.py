@@ -8,10 +8,20 @@ import numpy as np
 import pytest
 
 import revrank
+from revrank import cli
 from revrank.cli import main
 from revrank.dataset import load_csv, write_csv
-from revrank.encoder import DualEncoder, EncoderParams, load_checkpoint, save_checkpoint
+from revrank.encoder import (
+    DualEncoder,
+    EncoderParams,
+    init_model,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
+from revrank.evaluation import model_rank_group
 from revrank.synthgen import SynthConfig, generate
+from revrank.trainer import TrainConfig, _derive_seed, initialize_model
 
 CONTEXT_FLAGS = [
     "--context", "guest_type=Couple",
@@ -273,6 +283,63 @@ class TestEvaluate:
 
     def test_model_without_checkpoint_exit_1(self, corpus_csv):
         assert main(["evaluate", "--data", str(corpus_csv), "--methods", "model"]) == 1
+
+
+class TestEarlyValidation:
+    """Out-of-range values exit 1 with one line naming them, before any file is read."""
+
+    MISSING = "no/such/file"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["train", "--min-frequency", "0"], "min_frequency must be >= 1, got 0"),
+        (["train", "--max-vocab-size", "0"], "max_vocab_size must be >= 1, got 0"),
+        (["evaluate", "--seed", "-2"], "--seed must be >= 0, got -2"),
+        (["compare", "--seed", "-2", "--baseline-checkpoint", MISSING,
+          "--lexicon", MISSING], "--seed must be >= 0, got -2"),
+    ], ids=["train-seed", "train-min-frequency", "train-max-vocab-size", "evaluate-seed",
+            "compare-seed"])
+    def test_exit_1_before_reading(self, argv, message, capsys):
+        argv = [*argv, "--data", self.MISSING]
+        if argv[0] != "train":
+            argv += ["--checkpoint", self.MISSING]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_gen_synthetic_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "corpus.csv"
+        assert main(["gen-synthetic", "--out", str(out), "--seed", "-3"]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -3\n"
+        assert not out.exists()
+
+
+def table_bits(model):
+    return [a.tobytes() for p in (model.context, model.review) for a in p.blocks().values()]
+
+
+def test_fresh_towers_come_from_one_constructor(corpus_csv, checkpoint_dir, monkeypatch):
+    # evaluate's untrained model is seeded (--seed, --seed + 1); a training's
+    # first model with two seeds derived from the config's seed.
+    ranked = []
+
+    def recording(model, group, ids):
+        ranked.append(model)
+        return model_rank_group(model, group, ids)
+
+    monkeypatch.setattr(cli, "model_rank_group", recording)
+    assert main(["evaluate", "--checkpoint", str(checkpoint_dir / "best.npz"),
+                 "--data", str(corpus_csv), "--methods", "untrained", "--seed", "4"]) == 0
+    trained = load_checkpoint(checkpoint_dir / "best.npz")
+    d, d_e, size = trained.context.d, trained.context.d_e, len(trained.vocab)
+    untrained = init_model(trained.vocab, d, d_e, (4, 5))
+    assert ranked and all(table_bits(m) == table_bits(untrained) for m in ranked)
+    by_hand = DualEncoder(trained.vocab, init_params(d, d_e, size, seed=4),
+                          init_params(d, d_e, size, seed=5))
+    assert table_bits(untrained) == table_bits(by_hand)
+
+    fresh = initialize_model(load_csv(corpus_csv).records, TrainConfig(d=d, d_e=d_e, seed=3))
+    seeds = (_derive_seed(3, 1), _derive_seed(3, 2))
+    assert table_bits(fresh) == table_bits(init_model(fresh.vocab, d, d_e, seeds))
 
 
 class TestRank:

@@ -44,11 +44,11 @@ TRAIN_CONFIGS = st.builds(
     batch_size=st.integers(min_value=2),
     loss=st.sampled_from(LOSS_CHOICES),
     sampler=st.sampled_from(SAMPLER_CHOICES),
-    seed=st.integers(),
+    seed=st.integers(min_value=0),
     d=st.integers(min_value=1),
     d_e=st.integers(min_value=1),
-    min_frequency=st.integers(),
-    max_vocab_size=st.integers(),
+    min_frequency=st.integers(min_value=1),
+    max_vocab_size=st.integers(min_value=1),
     beta1=unit_floats(exclude_max=True),
     beta2=unit_floats(exclude_max=True),
     eps=positive_floats(exclude_min=True),
@@ -62,7 +62,7 @@ def synth_configs(draw):
         n_accommodations=draw(st.integers(min_value=1)),
         reviews_per_accommodation=(lo, draw(st.integers(min_value=lo))),
         signal_strength=draw(unit_floats()),
-        seed=draw(st.integers()),
+        seed=draw(st.integers(min_value=0)),
         vote_fraction=draw(unit_floats()),
         score_noise=draw(positive_floats()),
     )
@@ -130,6 +130,19 @@ class TestValues:
         path.write_text("# header\nepochs 3\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 2 is not a key=value pair"):
             parse_config_file(TrainConfig, path)
+
+
+class TestRejected:
+    @pytest.mark.parametrize("field, value, bound", [
+        ("seed", -1, 0), ("min_frequency", 0, 1), ("max_vocab_size", 0, 1),
+    ])
+    def test_train_config_names_the_field(self, field, value, bound):
+        with pytest.raises(ValueError, match=f"^{field} must be >= {bound}, got {value}$"):
+            TrainConfig(**{field: value})
+
+    def test_synth_config_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -3$"):
+            SynthConfig(seed=-3)
 
 
 class TestEcho:

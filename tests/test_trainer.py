@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from revrank.dataset import GuestType, group_by_accommodation, split_dataset
-from revrank.encoder import EncoderGradients, init_params, load_checkpoint
+from revrank.encoder import EncoderGradients, init_params, load_checkpoint, tokenize
 from revrank.evaluation import model_rank_group, mrr
 from revrank.config import config_to_text, parse_config_file
 from revrank.synthgen import SynthConfig, generate
+from revrank.textualize import serialize_record
 from revrank.trainer import (
     PRESETS,
     AdamWState,
     TrainConfig,
+    initialize_model,
     lr_schedule,
     optimizer_step,
     train,
@@ -206,8 +208,6 @@ class TestTrain:
         records = learnable_records(n_acc=2, per_type=1)
         config = desk_config(epochs=0)
         result = train(records, [], config)
-        from revrank.trainer import initialize_model
-
         fresh = initialize_model(records, config)
         assert np.array_equal(result.model.context.embedding, fresh.context.embedding)
         assert np.array_equal(result.best_model.review.projection, fresh.review.projection)
@@ -268,6 +268,22 @@ class TestTrain:
             for name, array in best.blocks().items():
                 assert array.tobytes() == want.blocks()[name].tobytes(), (tower, name)
         assert result.model.review.embedding.tobytes() != replay.review.embedding.tobytes()
+
+    def test_vocabulary_counted_from_a_stream_of_records(self):
+        # Only one record's token lists are alive at a time, never all of them.
+        records = generate(SynthConfig(n_accommodations=100, reviews_per_accommodation=(12, 12)))
+        tracemalloc.start()
+        try:
+            token_lists = [tokenize(text) for r in records for text in serialize_record(r)]
+            lists_size = tracemalloc.get_traced_memory()[0]
+            del token_lists
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            initialize_model(records, TrainConfig())
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * lists_size
 
     def test_peak_memory_is_bounded(self, tmp_path):
         # The model (2 tables) and the AdamW moments (4) are 6 |V| x d_e

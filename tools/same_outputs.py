@@ -9,12 +9,16 @@ same commands in a subprocess, with its own ``src`` on ``PYTHONPATH``, one
 BLAS thread and ``PYTHONHASHSEED=0``:
 
 - ``train --preset desk`` on train-desk with default flags, ``--epochs 0``,
-  ``--split 1,0,0 --epochs 2`` and ``--d 1 --d-e 1 --epochs 2``, and on
-  train-widevocab with ``--epochs 1`` and ``--epochs 2`` (a wide table
-  whose best model is the final one, or a copy when epoch 1 is best);
+  ``--split 1,0,0 --epochs 2``, ``--d 1 --d-e 1 --epochs 2`` and
+  ``--loss bce --sampler random --epochs 2``, and on train-widevocab with
+  ``--epochs 1`` and ``--epochs 2`` (a wide table whose best model is the
+  final one, or a copy when epoch 1 is best);
 - after each training, ``evaluate --split 0.8,0.1,0.1 --methods
   model,votes,untrained`` and ``rank`` on ``small.csv`` and ``large.csv``,
-  all from ``best.npz``.
+  all from ``best.npz``;
+- ``compare`` of the default training's ``best.npz`` against the
+  ``--epochs 0`` one on the train-desk corpus, with and without
+  ``--stratify``, over a small lexicon written next to the inputs.
 
 Every written file and every command's exit code and standard output are
 compared, with ``seconds=`` values masked and each side's output directory
@@ -40,9 +44,18 @@ TRAININGS = {
     "desk-epochs0": ("desk", ("--epochs", "0")),
     "desk-nosplit": ("desk", ("--split", "1,0,0", "--epochs", "2")),
     "desk-d1": ("desk", ("--d", "1", "--d-e", "1", "--epochs", "2")),
+    "desk-bce-random": ("desk", ("--loss", "bce", "--sampler", "random", "--epochs", "2")),
     "widevocab": ("widevocab", ("--epochs", "1")),
     "widevocab-epochs2": ("widevocab", ("--epochs", "2")),
 }
+COMPARES = {"compare": (), "compare-stratify": ("--stratify",)}
+LEXICON = """\
+solo: quiet, wifi, laptop, workspace
+romance: romantic, sunset, terrace, champagne
+friends: friends, karaoke, lounge, billiards
+family: kids, playground, toddler, stroller
+basics: clean, breakfast, staff, location
+"""
 CONTEXT = (
     "--context", "guest_type=Couple", "--context", "guest_country=France",
     "--context", "room_nights=3", "--context", "month=July",
@@ -77,14 +90,16 @@ def run(argv: list[str], env: dict[str, str], cwd: Path) -> subprocess.Completed
 
 
 def write_inputs(parent: Path, work: Path) -> dict[str, Path]:
+    """The directory of each corpus, by name, and the lexicon file as "lexicon"."""
     env = environment(parent / "src", parent / "bench")
-    dirs = {}
+    dirs = {"lexicon": work / "inputs" / "lexicon.txt"}
     for name, (workload, seed) in CORPORA.items():
         dirs[name] = work / "inputs" / name
         done = run(["-c", WRITE_INPUTS, workload, str(seed), str(dirs[name])], env, work)
         if done.returncode != 0:
             raise SystemExit(f"error: writing the {workload} inputs failed:\n"
                              f"{done.stderr.decode(errors='replace')}")
+    dirs["lexicon"].write_text(LEXICON, encoding="utf-8")
     return dirs
 
 
@@ -113,6 +128,12 @@ def side_outputs(checkout: Path, out: Path, inputs: dict[str, Path]) -> dict[str
                 "--top", top, *CONTEXT])
         for path in sorted(ckpt.iterdir()) if ckpt.is_dir() else ():
             outputs[f"{training}/{path.name}"] = path.read_bytes()
+    for name, flags in COMPARES.items():
+        command(name, [
+            "compare", "--checkpoint", str(out / "desk-default" / "best.npz"),
+            "--baseline-checkpoint", str(out / "desk-epochs0" / "best.npz"),
+            "--data", str(inputs["desk"] / "corpus.csv"), "--lexicon", str(inputs["lexicon"]),
+            *flags])
     return {
         key: SECONDS.sub(b"seconds=*", value.replace(str(out).encode(), b"<OUT>"))
         for key, value in outputs.items()
