@@ -27,8 +27,8 @@ from .contrastive import score_ids
 from .dataset import (
     group_by_accommodation,
     load_csv,
-    parse_guest_type,
-    parse_month,
+    parse_fields,
+    schema,
     split_dataset,
     statistics_key_values,
     validate_statistics,
@@ -202,7 +202,7 @@ def cmd_evaluate(args) -> int:
 
 # --- rank -------------------------------------------------------------------
 
-_CONTEXT_KEYS = ("guest_type", "guest_country", "room_nights", "month")
+_CONTEXT_KEYS = tuple(name for name, _ in schema(GuestContext))
 
 
 def _parse_context_flags(pairs: list[str]) -> GuestContext:
@@ -216,16 +216,14 @@ def _parse_context_flags(pairs: list[str]) -> GuestContext:
             raise CliError(
                 1, f"unknown context key {key!r} (expected one of {', '.join(_CONTEXT_KEYS)})"
             )
-        values[key] = raw.strip()
+        values[key] = raw
     missing = [k for k in _CONTEXT_KEYS if k not in values]
     if missing:
         raise CliError(1, f"missing context keys: {', '.join(missing)}")
-    return GuestContext(
-        guest_type=parse_guest_type(values["guest_type"]),
-        guest_country=values["guest_country"],
-        room_nights=int(values["room_nights"]),
-        month=parse_month(values["month"]),
-    )
+    try:
+        return parse_fields(GuestContext, [values[k] for k in _CONTEXT_KEYS])
+    except ValueError as exc:
+        raise CliError(1, f"--context: {exc}") from None
 
 
 def cmd_rank(args) -> int:

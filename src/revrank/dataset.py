@@ -1,7 +1,10 @@
 """Review dataset ingestion: typed records, CSV loading, grouping, splitting.
 
-The on-disk format is a UTF-8 CSV with one header row.  Column names are
-fixed (see ``COLUMNS``); text columns may be empty, numeric columns may not.
+The on-disk format is a UTF-8 CSV with one header row.  The record classes
+are its schema: the columns (``COLUMNS``) are the fields of a record's three
+parts, ``Review``, ``GuestContext`` and ``AccommodationContext``, in
+declaration order, and a field's declared type sets how its cell is parsed
+and written.  Text cells may be empty, the others may not.
 Records are grouped by accommodation and split into train/valid/test at the
 accommodation level so that no accommodation straddles two splits.
 """
@@ -12,31 +15,13 @@ import csv
 import enum
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cache
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from types import SimpleNamespace
+from typing import Iterable, Iterator, Sequence, get_type_hints
 
 import numpy as np
-
-COLUMNS = (
-    "review_title",
-    "review_positive",
-    "review_negative",
-    "review_score",
-    "review_helpful_votes",
-    "guest_type",
-    "guest_country",
-    "room_nights",
-    "month",
-    "accommodation_id",
-    "accommodation_type",
-    "accommodation_score",
-    "accommodation_country",
-    "accommodation_star_rating",
-    "location_is_beach",
-    "location_is_ski",
-    "location_is_city_center",
-)
 
 # Accommodations with fewer reviews than this are flagged in the statistics
 # report (they are kept; small synthetic fixtures are legitimate).
@@ -220,77 +205,81 @@ class LoadResult:
     rejections: list[RowRejection]
 
 
-# Each column's index in ``COLUMNS``, which is also the order rows are parsed in.
-_INDEX = {name: i for i, name in enumerate(COLUMNS)}
-_GUEST_CELLS = slice(_INDEX["guest_type"], _INDEX["month"] + 1)
-_ACCOMMODATION_CELLS = slice(_INDEX["accommodation_id"], len(COLUMNS))
+@cache
+def schema(cls: type) -> tuple[tuple[str, type], ...]:
+    """The (field name, declared type) pairs of dataclass ``cls``, in order."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in fields(cls))
+
+
+_label = operator.attrgetter("label")
+# How a cell of each declared type is parsed (text is only stripped) and written.
+_PARSE = {float: float, int: int, bool: parse_bool, GuestType: parse_guest_type,
+          Month: parse_month}
+_WRITE = {str: str, float: repr, int: str, bool: lambda value: "1" if value else "0",
+          GuestType: _label, Month: _label}
+
+# Every column, in row order (the fields of a record's parts, part after
+# part): the part's field name in ``ReviewRecord``, the column's field name
+# and its declared type.
+_FIELDS = tuple(
+    (part, name, kind) for part, cls in schema(ReviewRecord) for name, kind in schema(cls)
+)
+COLUMNS = tuple(name for _, name, _ in _FIELDS)
+_WRITERS = tuple(_WRITE[kind] for _, _, kind in _FIELDS)
+# A record's field values, in ``COLUMNS`` order.
+_field_values = operator.attrgetter(*(f"{part}.{name}" for part, name, _ in _FIELDS))
+# The parts whose cells many rows repeat; ``load_csv`` parses each spelling once.
+_SHARED_PARTS = (GuestContext, AccommodationContext)
+
+
+def parse_fields(cls: type, cells: Sequence[str | None]):
+    """An instance of record part ``cls`` from the raw cells of its fields.
+
+    Each cell is stripped and parsed by its field's declared type; a text
+    field may be empty, any other may not.  The first fault in field order
+    raises ValueError, and then the part's own checks run.
+    """
+    values = []
+    for (name, kind), cell in zip(schema(cls), cells):
+        if cell is None:
+            raise ValueError(f"missing cell for column {name!r}")
+        value = cell.strip()
+        if kind is not str:
+            if value == "":
+                raise ValueError(f"empty numeric cell {name!r}")
+            try:
+                value = _PARSE[kind](value)
+            except ValueError as exc:
+                raise ValueError(f"bad {name!r}: {exc}") from None
+        values.append(value)
+    return cls(*values)
 
 
 def _parse_row(
-    cells: Sequence[str | None],
-    row_num: int,
-    guests: dict[tuple, GuestContext],
-    accommodations: dict[tuple, AccommodationContext],
+    cells: Sequence[str | None], row_num: int, shared: dict[type, dict[tuple, object]]
 ) -> ReviewRecord:
     """The record of one row, from its raw cells in ``COLUMNS`` order.
 
-    A cell the row is too short to have is None.  Fields are parsed in
-    ``COLUMNS`` order, each context checked as soon as its fields are, so
-    the first fault in that order is the one reported.  ``guests`` and
-    ``accommodations`` map the raw cells of each context parsed so far to
-    its value; a row that repeats them shares that (frozen) value.
+    A cell the row is too short to have is None.  Parts are parsed in
+    ``COLUMNS`` order, so the first fault in that order is the one reported.
+    ``shared`` maps each shared part to a map from the raw cells parsed so
+    far to their value; a row that repeats them shares that (frozen) value.
     """
-
-    def cell(name: str) -> str:
-        value = cells[_INDEX[name]]
-        if value is None:
-            raise RowError(row_num, f"missing cell for column {name!r}")
-        return value.strip()
-
-    def numeric(name: str, conv):
-        raw = cell(name)
-        if raw == "":
-            raise RowError(row_num, f"empty numeric cell {name!r}")
-        try:
-            return conv(raw)
-        except ValueError as exc:
-            raise RowError(row_num, f"bad {name!r}: {exc}") from None
-
+    parts, start = [], 0
     try:
-        review = Review(
-            review_title=cell("review_title"),
-            review_positive=cell("review_positive"),
-            review_negative=cell("review_negative"),
-            review_score=numeric("review_score", float),
-            review_helpful_votes=numeric("review_helpful_votes", int),
-        )
-        raw_guest = cells[_GUEST_CELLS]
-        guest = guests.get(raw_guest)
-        if guest is None:
-            guest = guests[raw_guest] = GuestContext(
-                guest_type=numeric("guest_type", parse_guest_type),
-                guest_country=cell("guest_country"),
-                room_nights=numeric("room_nights", int),
-                month=numeric("month", parse_month),
-            )
-        raw_accommodation = cells[_ACCOMMODATION_CELLS]
-        accommodation = accommodations.get(raw_accommodation)
-        if accommodation is None:
-            accommodation = accommodations[raw_accommodation] = AccommodationContext(
-                accommodation_id=cell("accommodation_id"),
-                accommodation_type=cell("accommodation_type"),
-                accommodation_score=numeric("accommodation_score", float),
-                accommodation_country=cell("accommodation_country"),
-                accommodation_star_rating=numeric("accommodation_star_rating", float),
-                location_is_beach=numeric("location_is_beach", parse_bool),
-                location_is_ski=numeric("location_is_ski", parse_bool),
-                location_is_city_center=numeric("location_is_city_center", parse_bool),
-            )
-    except RowError:
-        raise
+        for _, cls in schema(ReviewRecord):
+            raw = cells[start : start + len(schema(cls))]
+            start += len(raw)
+            parsed = shared.get(cls)
+            if parsed is None:
+                part = parse_fields(cls, raw)
+            elif (part := parsed.get(raw)) is None:
+                part = parsed[raw] = parse_fields(cls, raw)
+            parts.append(part)
     except ValueError as exc:
         raise RowError(row_num, str(exc)) from None
-    return ReviewRecord(review=review, guest=guest, accommodation=accommodation)
+    return ReviewRecord(*parts)
 
 
 def _rows(reader: Iterator[list[str]]) -> Iterator[list[str] | csv.Error]:
@@ -350,8 +339,7 @@ def load_csv(path: str | Path, schema_mode: str = "strict") -> LoadResult:
 
         records: list[ReviewRecord] = []
         rejections: list[RowRejection] = []
-        guests: dict[tuple, GuestContext] = {}
-        accommodations: dict[tuple, AccommodationContext] = {}
+        shared: dict[type, dict[tuple, object]] = {cls: {} for cls in _SHARED_PARTS}
         seen_accommodation: dict[str, AccommodationContext] = {}
         row_num = 0
         for row in _rows(reader):
@@ -363,7 +351,7 @@ def load_csv(path: str | Path, schema_mode: str = "strict") -> LoadResult:
                     raise RowError(row_num, f"unreadable CSV row: {row}")
                 if len(row) < width:
                     row = row + [None] * (width - len(row))
-                record = _parse_row(pick(row), row_num, guests, accommodations)
+                record = _parse_row(pick(row), row_num, shared)
                 acc = record.accommodation
                 known = seen_accommodation.get(acc.accommodation_id)
                 if known is None:
@@ -383,37 +371,21 @@ def load_csv(path: str | Path, schema_mode: str = "strict") -> LoadResult:
     return LoadResult(records=records, rejections=rejections)
 
 
-def record_to_row(record: ReviewRecord) -> dict[str, str]:
-    """Render one record as CSV cells; inverse of row parsing."""
-    r, g, a = record.review, record.guest, record.accommodation
-    return {
-        "review_title": r.review_title,
-        "review_positive": r.review_positive,
-        "review_negative": r.review_negative,
-        "review_score": repr(r.review_score),
-        "review_helpful_votes": str(r.review_helpful_votes),
-        "guest_type": g.guest_type.label,
-        "guest_country": g.guest_country,
-        "room_nights": str(g.room_nights),
-        "month": g.month.label,
-        "accommodation_id": a.accommodation_id,
-        "accommodation_type": a.accommodation_type,
-        "accommodation_score": repr(a.accommodation_score),
-        "accommodation_country": a.accommodation_country,
-        "accommodation_star_rating": repr(a.accommodation_star_rating),
-        "location_is_beach": "1" if a.location_is_beach else "0",
-        "location_is_ski": "1" if a.location_is_ski else "0",
-        "location_is_city_center": "1" if a.location_is_city_center else "0",
-    }
+def record_to_row(record: ReviewRecord) -> list[str]:
+    """Render one record as its CSV cells in ``COLUMNS`` order; inverse of row parsing."""
+    return [write(value) for write, value in zip(_WRITERS, _field_values(record))]
 
 
 def write_csv(records: Iterable[ReviewRecord], path: str | Path) -> None:
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        for record in records:
-            writer.writerow(record_to_row(record))
+        # A writer quotes a cell that holds a character of its line end, and a
+        # bare carriage return would read back as one: the writer is told that
+        # rows end in "\r\n", and each row is written with "\n" alone.
+        rows = SimpleNamespace(write=lambda row: handle.write(row[:-2] + "\n"))
+        writer = csv.writer(rows, lineterminator="\r\n")
+        writer.writerow(COLUMNS)
+        writer.writerows(map(record_to_row, records))
 
 
 def group_by_accommodation(records: Sequence[ReviewRecord]) -> list[AccommodationGroup]:
@@ -498,76 +470,50 @@ class DatasetStatistics:
     small_accommodations: list[str] = field(default_factory=list)
 
 
-def _mode(values: list) -> object:
+def _mode(values: Sequence) -> object:
     counts = Counter(values)
     best = max(counts.values())
     return min(v for v, c in counts.items() if c == best)
 
 
-def _format_stat_value(value: object) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return f"{value:g}"
-    return str(value)
+# Columns left out of the statistics report: the free text and the id.
+_NOT_SUMMARIZED = {"review_title", "review_positive", "review_negative", "accommodation_id"}
 
 
 def validate_statistics(records: Sequence[ReviewRecord]) -> DatasetStatistics:
     """Per-field unique-count / mean / mode / min / max summary.
 
-    Booleans are treated as 0/1 numerics; categorical fields report unique
-    count and mode only.
+    Int, float and bool fields are numeric (booleans as 0/1); the other
+    fields are categorical, summarized by their cell text, and report
+    unique count and mode only.
     """
     if not records:
         raise ValueError("cannot summarize an empty record list")
-
-    def col(getter):
-        return [getter(r) for r in records]
-
-    numeric_fields = {
-        "review_score": col(lambda r: r.review.review_score),
-        "review_helpful_votes": col(lambda r: r.review.review_helpful_votes),
-        "room_nights": col(lambda r: r.guest.room_nights),
-        "accommodation_score": col(lambda r: r.accommodation.accommodation_score),
-        "accommodation_star_rating": col(
-            lambda r: r.accommodation.accommodation_star_rating
-        ),
-        "location_is_beach": col(lambda r: int(r.accommodation.location_is_beach)),
-        "location_is_ski": col(lambda r: int(r.accommodation.location_is_ski)),
-        "location_is_city_center": col(
-            lambda r: int(r.accommodation.location_is_city_center)
-        ),
-    }
-    categorical_fields = {
-        "guest_type": col(lambda r: r.guest.guest_type.label),
-        "guest_country": col(lambda r: r.guest.guest_country),
-        "month": col(lambda r: r.guest.month.label),
-        "accommodation_type": col(lambda r: r.accommodation.accommodation_type),
-        "accommodation_country": col(lambda r: r.accommodation.accommodation_country),
-    }
-
     stats = DatasetStatistics(
         n_records=len(records),
         n_accommodations=len({r.accommodation.accommodation_id for r in records}),
         voted_fraction=sum(r.review.review_helpful_votes > 0 for r in records)
         / len(records),
     )
-    for name in COLUMNS:
-        if name in numeric_fields:
-            values = numeric_fields[name]
+    columns = zip(*map(_field_values, records))
+    for (_, name, kind), values in zip(_FIELDS, columns):
+        if name in _NOT_SUMMARIZED:
+            continue
+        if kind in (int, float, bool):
+            mode = _mode(values)
             stats.fields[name] = FieldStats(
                 unique_count=len(set(values)),
                 mean=float(sum(values)) / len(values),
-                mode=_format_stat_value(_mode(values)),
+                mode=f"{mode:g}" if isinstance(mode, float) else str(int(mode)),
                 minimum=float(min(values)),
                 maximum=float(max(values)),
             )
-        elif name in categorical_fields:
-            values = categorical_fields[name]
+        else:
+            values = list(map(_WRITE[kind], values))
             stats.fields[name] = FieldStats(
                 unique_count=len(set(values)),
                 mean=None,
-                mode=_format_stat_value(_mode(values)),
+                mode=_mode(values),
                 minimum=None,
                 maximum=None,
             )

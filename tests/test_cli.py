@@ -391,6 +391,21 @@ class TestRank:
                      "--reviews", str(reviews), "--context", "guest_type=Couple"])
         assert code == 1
 
+    @pytest.mark.parametrize("value, reason", [
+        ("abc", "bad 'room_nights': invalid literal for int() with base 10: 'abc'"),
+        ("", "empty numeric cell 'room_nights'"),
+        ("2.5", "bad 'room_nights': invalid literal for int() with base 10: '2.5'"),
+        ("0", "room_nights must be >= 1, got 0"),
+    ])
+    def test_bad_context_value_names_the_key(self, corpus_csv, checkpoint_dir, tmp_path,
+                                             capsys, value, reason):
+        reviews, _ = self.one_accommodation_csv(corpus_csv, tmp_path)
+        code = main(["rank", "--checkpoint", str(checkpoint_dir / "best.npz"),
+                     "--reviews", str(reviews), *CONTEXT_FLAGS,
+                     "--context", f"room_nights={value}"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --context: {reason}\n"
+
 
 class TestCompare:
     LEXICON = ("solo: quiet, wifi, workspace, laptop, desk\n"

@@ -18,19 +18,26 @@ BLAS thread and ``PYTHONHASHSEED=0``:
   all from ``best.npz``;
 - ``compare`` of the default training's ``best.npz`` against the
   ``--epochs 0`` one on the train-desk corpus, with and without
-  ``--stratify``, over a small lexicon written next to the inputs.
+  ``--stratify``, over a small lexicon written next to the inputs;
+- ``gen-synthetic`` with default flags and with ``--reviews 5..15``;
+- ``ingest --strict`` of the train-desk corpus, and ``ingest``, lenient and
+  ``--strict``, of a copy with malformed rows: a bad number, an empty
+  numeric cell, a short row, an unknown guest type and an accommodation
+  context that disagrees with an earlier row.
 
-Every written file and every command's exit code and standard output are
-compared, with ``seconds=`` values masked and each side's output directory
-replaced by a placeholder.  One line is printed per output; the exit code
-is 0 only when all of them are identical and every command exited 0, so
-that a command line both sides reject cannot pass.  Nothing under either
-checkout is written.
+Every written file and every command's exit code, standard output and
+standard error are compared, with ``seconds=`` values masked and each
+side's output directory replaced by a placeholder.  One line is printed
+per output; the exit code is 0 only when all of them are identical and
+every command exited with its expected code (1 for ``ingest --strict`` of
+the malformed copy, 0 for the others), so that a command line both sides
+reject cannot pass.  Nothing under either checkout is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import re
 import subprocess
@@ -49,6 +56,8 @@ TRAININGS = {
     "widevocab-epochs2": ("widevocab", ("--epochs", "2")),
 }
 COMPARES = {"compare": (), "compare-stratify": ("--stratify",)}
+GEN_SYNTHETIC = {"gen-synthetic": (), "gen-synthetic-reviews": ("--reviews", "5..15")}
+EXIT_CODES = {"ingest-malformed-strict exit": b"1"}  # every other command exits 0
 LEXICON = """\
 solo: quiet, wifi, laptop, workspace
 romance: romantic, sunset, terrace, champagne
@@ -89,8 +98,25 @@ def run(argv: list[str], env: dict[str, str], cwd: Path) -> subprocess.Completed
     )
 
 
+def write_malformed(corpus: Path, path: Path) -> None:
+    """A copy of ``corpus`` in which five rows are malformed, each another way."""
+    with corpus.open(newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    column = {name: i for i, name in enumerate(header)}
+    rows[0][column["review_score"]] = "8.x"
+    rows[1][column["room_nights"]] = ""
+    del rows[2][column["month"]:]
+    rows[3][column["guest_type"]] = "Astronaut"
+    # The last row's accommodation is one that earlier, unchanged rows have.
+    score = column["accommodation_score"]
+    rows[-1][score] = "2.0" if float(rows[-1][score]) != 2.0 else "3.0"
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerows([header, *rows])
+
+
 def write_inputs(parent: Path, work: Path) -> dict[str, Path]:
-    """The directory of each corpus, by name, and the lexicon file as "lexicon"."""
+    """The directory of each corpus, by name, the lexicon file as "lexicon"
+    and the malformed copy of the train-desk corpus as "malformed"."""
     env = environment(parent / "src", parent / "bench")
     dirs = {"lexicon": work / "inputs" / "lexicon.txt"}
     for name, (workload, seed) in CORPORA.items():
@@ -100,6 +126,8 @@ def write_inputs(parent: Path, work: Path) -> dict[str, Path]:
             raise SystemExit(f"error: writing the {workload} inputs failed:\n"
                              f"{done.stderr.decode(errors='replace')}")
     dirs["lexicon"].write_text(LEXICON, encoding="utf-8")
+    dirs["malformed"] = work / "inputs" / "malformed.csv"
+    write_malformed(dirs["desk"] / "corpus.csv", dirs["malformed"])
     return dirs
 
 
@@ -112,6 +140,7 @@ def side_outputs(checkout: Path, out: Path, inputs: dict[str, Path]) -> dict[str
         done = run(["-m", "revrank", *argv], env, out)
         outputs[f"{key} exit"] = str(done.returncode).encode()
         outputs[f"{key} stdout"] = done.stdout
+        outputs[f"{key} stderr"] = done.stderr
 
     for training, (corpus, flags) in TRAININGS.items():
         data = inputs[corpus]
@@ -134,6 +163,15 @@ def side_outputs(checkout: Path, out: Path, inputs: dict[str, Path]) -> dict[str
             "--baseline-checkpoint", str(out / "desk-epochs0" / "best.npz"),
             "--data", str(inputs["desk"] / "corpus.csv"), "--lexicon", str(inputs["lexicon"]),
             *flags])
+    for name, flags in GEN_SYNTHETIC.items():
+        path = out / f"{name}.csv"
+        command(name, ["gen-synthetic", "--out", str(path), *flags])
+        outputs[f"{name}.csv"] = path.read_bytes() if path.is_file() else b""
+    command("ingest-corpus-strict", ["ingest", "--input", str(inputs["desk"] / "corpus.csv"),
+                                     "--strict"])
+    command("ingest-malformed", ["ingest", "--input", str(inputs["malformed"])])
+    command("ingest-malformed-strict", ["ingest", "--input", str(inputs["malformed"]),
+                                        "--strict"])
     return {
         key: SECONDS.sub(b"seconds=*", value.replace(str(out).encode(), b"<OUT>"))
         for key, value in outputs.items()
@@ -162,7 +200,8 @@ def main(argv: list[str] | None = None) -> int:
     for key in keys:
         values = (sides[0].get(key), sides[1].get(key))
         verdict = "same" if values[0] == values[1] else "DIFFERS"
-        if key.endswith(" exit") and values != (b"0", b"0"):
+        expected = EXIT_CODES.get(key, b"0")
+        if key.endswith(" exit") and values != (expected, expected):
             verdict = f"FAILED ({values[0]!r}, {values[1]!r})"
         bad += verdict != "same"
         print(f"{verdict}  {key}")
