@@ -87,6 +87,15 @@ def _split_parts(records, fractions, seed: int) -> dict[str, list]:
     }
 
 
+def _load_csv(path: str, schema_mode: str = "strict"):
+    """``load_csv``, with ``path`` named when the file is not UTF-8 text."""
+    try:
+        return load_csv(path, schema_mode)
+    except UnicodeDecodeError as exc:
+        raise CliError(1, f"{path}: not UTF-8 text "
+                          f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
+
+
 def _check_seed(seed: int) -> None:
     if seed < 0:
         raise CliError(1, f"--seed must be >= 0, got {seed}")
@@ -113,7 +122,7 @@ def _write_or_print(text: str, path: str | None) -> None:
 
 def cmd_ingest(args) -> int:
     mode = "strict" if args.strict else "lenient"
-    result = load_csv(args.input, schema_mode=mode)
+    result = _load_csv(args.input, schema_mode=mode)
     stats = validate_statistics(result.records)
     lines = [statistics_key_values(stats).rstrip("\n")]
     lines.append(f"rejections={len(result.rejections)}")
@@ -142,7 +151,7 @@ def cmd_train(args) -> int:
     flags = vars(args) | {"sampler": args.sampler and args.sampler.replace("-", "_")}
     config = layer_config(base, args.config, flags)
 
-    records = load_csv(args.data).records
+    records = _load_csv(args.data).records
     parts = _split_parts(records, _parse_fractions(args.split), config.seed)
     result = train(parts["train"], parts["valid"], config, out_dir=args.out)
     sys.stdout.write(result.log_text())
@@ -160,7 +169,7 @@ def cmd_evaluate(args) -> int:
     if not method_names:
         raise CliError(1, "--methods must name at least one method")
 
-    records = load_csv(args.data).records
+    records = _load_csv(args.data).records
     if args.split:
         records = _split_parts(records, _parse_fractions(args.split), args.seed)[args.part]
     groups = group_by_accommodation(records)
@@ -230,7 +239,7 @@ def cmd_rank(args) -> int:
     if args.top < 1:
         raise CliError(1, f"--top must be >= 1, got {args.top}")
     model = load_checkpoint(args.checkpoint)
-    records = load_csv(args.reviews).records
+    records = _load_csv(args.reviews).records
     groups = group_by_accommodation(records)
     if len(groups) != 1:
         sample = ", ".join(g.accommodation_id for g in groups[:4])
@@ -269,7 +278,7 @@ def cmd_compare(args) -> int:
     lexicon = parse_lexicon(Path(args.lexicon).read_text(encoding="utf-8"))
     if not lexicon:
         raise CliError(1, f"lexicon file {args.lexicon} defines no topics")
-    records = load_csv(args.data).records
+    records = _load_csv(args.data).records
     groups = group_by_accommodation(records)
 
     def scorer(m, path):

@@ -112,6 +112,13 @@ def parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _check_text(part) -> None:
+    """A record part's text fields have no surrounding whitespace, which a cell loses."""
+    for name, kind in schema(type(part)):
+        if kind is str and (value := getattr(part, name)) != value.strip():
+            raise ValueError(f"{name} has leading or trailing whitespace: {value!r}")
+
+
 @dataclass(frozen=True)
 class GuestContext:
     guest_type: GuestType
@@ -120,6 +127,7 @@ class GuestContext:
     month: Month
 
     def __post_init__(self):
+        _check_text(self)
         if self.room_nights < 1:
             raise ValueError(f"room_nights must be >= 1, got {self.room_nights}")
 
@@ -136,6 +144,7 @@ class AccommodationContext:
     location_is_city_center: bool
 
     def __post_init__(self):
+        _check_text(self)
         if not self.accommodation_id:
             raise ValueError("accommodation_id must be non-empty")
         if not 1.0 <= self.accommodation_score <= 10.0:
@@ -158,6 +167,7 @@ class Review:
     review_helpful_votes: int
 
     def __post_init__(self):
+        _check_text(self)
         if not 1.0 <= self.review_score <= 10.0:
             raise ValueError(f"review_score outside [1.0, 10.0]: {self.review_score}")
         if self.review_helpful_votes < 0:

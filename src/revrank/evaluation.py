@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .contrastive import score_ids
 from .dataset import AccommodationGroup, ReviewRecord
@@ -209,6 +208,10 @@ def friedman_test(scores: np.ndarray) -> FriedmanResult:
     statistic = 12.0 / (b * m * (m + 1)) * sum(r * r for r in rank_sums) - 3.0 * b * (m + 1)
     statistic = max(statistic, 0.0)  # guard tiny negative rounding on all-tied input
     df = m - 1
+    # Imported here: scipy takes longer to import than a small `rank` takes
+    # to run, and no other command needs it.
+    from scipy.special import gammaincc
+
     p_value = float(gammaincc(df / 2.0, statistic / 2.0))
     return FriedmanResult(
         statistic=float(statistic),

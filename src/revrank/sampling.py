@@ -1,21 +1,27 @@
 """Training-batch construction.
 
-Two epoch planners are provided.  ``random_epoch`` shuffles the whole
-training set and chunks it; a trailing singleton batch is dropped (and
-reported) because a single pair has no in-batch negatives.
-``in_accommodation_epoch`` shuffles and chunks within each accommodation so
-every batch contains reviews of one property only, merging a trailing
-singleton upward into the previous chunk; accommodations with fewer than two
-records are skipped and reported.
+An epoch plan is its batches: each planner returns a tuple of ``Batch``,
+whose indices point into the record list the plan was built from.  Plans
+are deterministic functions of (records, batch_size, seed).
 
-Batches hold indices into the record list they were planned from.  Plans
-are deterministic functions of (records, batch_size, seed) and serializable
-to a text manifest.
+``random_epoch`` shuffles the whole training set and chunks it; a trailing
+singleton chunk is left out, because a single pair has no in-batch
+negatives.  ``in_accommodation_epoch`` shuffles and chunks within each
+accommodation, so every batch holds reviews of one property only and is
+tagged with its id; a trailing singleton merges into the previous chunk,
+and accommodations with fewer than two records are left out.
+
+``verify_plan`` checks a plan without asking the planner what it left out:
+it works that out from the records and the batch size alone.  A random
+plan may leave out exactly one record, when ``len(records) % batch_size ==
+1``; an in-accommodation plan leaves out exactly the records of the
+accommodations that have fewer than two.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,176 +42,92 @@ class Batch:
         return len(self.indices)
 
 
-@dataclass(frozen=True)
-class EpochPlan:
-    kind: str  # "random" or "in_accommodation"
-    batches: tuple[Batch, ...]
-    n_records: int  # size of the record list the plan was built from
-    dropped_indices: tuple[int, ...] = ()
-    skipped_groups: tuple[str, ...] = ()
+def random_epoch(
+    records: Sequence[ReviewRecord], batch_size: int, seed: int
+) -> tuple[Batch, ...]:
+    """Shuffle all records and cut them into consecutive batches.
 
-    def covered_indices(self) -> list[int]:
-        return [i for b in self.batches for i in b.indices]
-
-
-@dataclass
-class PlanViolation:
-    batch_index: int | None
-    kind: str
-    detail: str
-
-
-@dataclass
-class VerificationReport:
-    violations: list[PlanViolation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def random_epoch(records: Sequence[ReviewRecord], batch_size: int, seed: int) -> EpochPlan:
-    """Shuffle all records and cut into consecutive batches.
-
-    The final chunk is kept if it has at least 2 records, otherwise dropped
-    and reported via ``dropped_indices``.
+    The final chunk is kept if it has at least 2 records, else left out.
     """
     if len(records) < 2:
         raise ValueError(f"need at least 2 records, got {len(records)}")
     if batch_size < 2:
         raise ValueError(f"batch_size must be >= 2, got {batch_size}")
-    order = np.random.default_rng(seed).permutation(len(records))
-    batches = []
-    dropped: tuple[int, ...] = ()
-    for start in range(0, len(order), batch_size):
-        chunk = tuple(int(i) for i in order[start : start + batch_size])
-        if len(chunk) >= 2:
-            batches.append(Batch(indices=chunk))
-        else:
-            dropped = chunk
-    return EpochPlan(
-        kind="random",
-        batches=tuple(batches),
-        n_records=len(records),
-        dropped_indices=dropped,
-    )
-
-
-def _chunk_group(indices: np.ndarray, batch_size: int) -> list[tuple[int, ...]]:
-    chunks = [
-        tuple(int(i) for i in indices[start : start + batch_size])
-        for start in range(0, len(indices), batch_size)
-    ]
-    if len(chunks) > 1 and len(chunks[-1]) == 1:
-        chunks[-2] = chunks[-2] + chunks[-1]
-        chunks.pop()
-    return chunks
+    order = np.random.default_rng(seed).permutation(len(records)).tolist()
+    return tuple(Batch(tuple(order[start : start + batch_size]))
+                 for start in range(0, len(order) - 1, batch_size))
 
 
 def in_accommodation_epoch(
     groups: Sequence[AccommodationGroup], batch_size: int, seed: int
-) -> EpochPlan:
+) -> tuple[Batch, ...]:
     """Per-accommodation shuffled chunking; every batch is single-property.
 
-    Groups with fewer than 2 records are skipped and reported.  Within a
-    group, a trailing chunk of size 1 merges into the previous chunk, so one
-    batch per group may hold batch_size + 1 records.  Batch order across the
+    Groups with fewer than 2 records are left out.  Within a group, a
+    trailing chunk of size 1 merges into the previous chunk, so one batch
+    per group may hold batch_size + 1 records.  Batch order across the
     whole epoch is shuffled.
     """
     if batch_size < 2:
         raise ValueError(f"batch_size must be >= 2, got {batch_size}")
     rng = np.random.default_rng(seed)
     batches: list[Batch] = []
-    skipped: list[str] = []
-    n_records = 0
     for group in groups:
-        n_records = max(n_records, (max(group.indices) + 1) if group.indices else 0)
         if len(group) < 2:
-            skipped.append(group.accommodation_id)
             continue
-        order = rng.permutation(len(group))
-        shuffled = np.asarray(group.indices)[order]
-        for chunk in _chunk_group(shuffled, batch_size):
-            batches.append(Batch(indices=chunk, accommodation_id=group.accommodation_id))
+        shuffled = np.asarray(group.indices)[rng.permutation(len(group))].tolist()
+        # Chunks start every batch_size records, but never at the last one.
+        bounds = [*range(0, len(shuffled) - 1, batch_size), len(shuffled)]
+        batches += [Batch(tuple(shuffled[start:end]), group.accommodation_id)
+                    for start, end in zip(bounds, bounds[1:])]
     if not batches:
         raise ValueError("no accommodation has at least 2 records")
-    order = rng.permutation(len(batches))
-    return EpochPlan(
-        kind="in_accommodation",
-        batches=tuple(batches[int(i)] for i in order),
-        n_records=n_records,
-        skipped_groups=tuple(skipped),
-    )
+    return tuple(batches[i] for i in rng.permutation(len(batches)).tolist())
 
 
-def verify_plan(plan: EpochPlan, records: Sequence[ReviewRecord]) -> VerificationReport:
-    """Check coverage, batch sizes, and tagged-batch homogeneity."""
-    report = VerificationReport()
-    for b_idx, batch in enumerate(plan.batches):
-        if len(batch) < 2:
-            report.violations.append(
-                PlanViolation(b_idx, "size", f"batch has {len(batch)} records")
-            )
-        for i in batch.indices:
-            if not 0 <= i < len(records):
-                report.violations.append(
-                    PlanViolation(b_idx, "range", f"record index {i} out of range")
-                )
+def verify_plan(
+    batches: Sequence[Batch], records: Sequence[ReviewRecord], batch_size: int
+) -> list[str]:
+    """The problems of ``batches`` as one epoch's plan over ``records``.
+
+    A plan of untagged batches is a random plan: each batch holds 2 to
+    ``batch_size`` records, and together they cover every record, except
+    exactly one when ``len(records) % batch_size == 1``.  A plan of tagged
+    batches is an in-accommodation plan: each batch holds 2 to
+    ``batch_size + 1`` records of the accommodation it is tagged with, and
+    together they cover exactly the records of the accommodations that have
+    at least 2.  A plan that mixes the two kinds of batch, and a record
+    batched more than once, are problems too.  A sound plan has none.
+    """
+    problems = []
+    tagged = {batch.accommodation_id is not None for batch in batches}
+    if len(tagged) > 1:
+        problems.append("plan mixes tagged and untagged batches")
+    in_accommodation = True in tagged
+    largest = batch_size + 1 if in_accommodation else batch_size
+    accommodation = [record.accommodation.accommodation_id for record in records]
+    for b, batch in enumerate(batches):
+        if not 2 <= len(batch) <= largest:
+            problems.append(f"batch {b} has {len(batch)} records, not 2 to {largest}")
+        outside = [i for i in batch.indices if not 0 <= i < len(records)]
+        if outside:
+            problems.append(f"batch {b} has record indices out of range: {outside}")
         if batch.accommodation_id is not None:
-            ids = {
-                records[i].accommodation.accommodation_id
-                for i in batch.indices
-                if 0 <= i < len(records)
-            }
-            if ids != {batch.accommodation_id}:
-                report.violations.append(
-                    PlanViolation(
-                        b_idx,
-                        "homogeneity",
-                        f"batch tagged {batch.accommodation_id!r} contains {sorted(ids)}",
-                    )
-                )
+            ids = sorted({accommodation[i] for i in batch.indices if 0 <= i < len(records)})
+            if ids != [batch.accommodation_id]:
+                problems.append(f"batch {b} tagged {batch.accommodation_id!r} holds {ids}")
 
-    covered = plan.covered_indices()
-    counts = {}
-    for i in covered:
-        counts[i] = counts.get(i, 0) + 1
-    duplicates = sorted(i for i, c in counts.items() if c > 1)
-    if duplicates:
-        report.violations.append(
-            PlanViolation(None, "coverage", f"records seen more than once: {duplicates}")
-        )
-
-    skipped_ids = set(plan.skipped_groups)
-    eligible = set()
-    for i, record in enumerate(records):
-        if plan.kind == "in_accommodation":
-            if record.accommodation.accommodation_id in skipped_ids:
-                continue
-        eligible.add(i)
-    eligible -= set(plan.dropped_indices)
-    missing = sorted(eligible - set(covered))
-    extra = sorted(set(covered) - eligible)
-    if missing:
-        report.violations.append(
-            PlanViolation(None, "coverage", f"eligible records never batched: {missing}")
-        )
-    if extra:
-        report.violations.append(
-            PlanViolation(None, "coverage", f"ineligible records batched: {extra}")
-        )
-    return report
-
-
-def format_manifest(plan: EpochPlan) -> str:
-    """Text manifest: one line per batch plus drop/skip annotations."""
-    lines = [f"# kind={plan.kind} batches={len(plan.batches)} records={plan.n_records}"]
-    for b_idx, batch in enumerate(plan.batches):
-        acc = batch.accommodation_id if batch.accommodation_id is not None else "-"
-        ids = " ".join(str(i) for i in batch.indices)
-        lines.append(f"{b_idx}\t{acc}\t{ids}")
-    if plan.dropped_indices:
-        lines.append("# dropped " + " ".join(str(i) for i in plan.dropped_indices))
-    for acc_id in plan.skipped_groups:
-        lines.append(f"# skipped {acc_id}")
-    return "\n".join(lines) + "\n"
+    counts = Counter(i for batch in batches for i in batch.indices)
+    twice = sorted(i for i, count in counts.items() if count > 1)
+    if twice:
+        problems.append(f"records batched more than once: {twice}")
+    sizes = Counter(accommodation)
+    alone = {i for i, acc in enumerate(accommodation) if in_accommodation and sizes[acc] < 2}
+    batched_alone = sorted(alone & counts.keys())
+    if batched_alone:
+        problems.append(f"records alone in their accommodation batched: {batched_alone}")
+    missing = sorted(set(range(len(records))) - alone - counts.keys())
+    may_miss = 0 if in_accommodation else int(len(records) % batch_size == 1)
+    if len(missing) != may_miss:
+        problems.append(f"{len(missing)} records never batched, not {may_miss}: {missing}")
+    return problems

@@ -322,7 +322,7 @@ def train(
     context_ids, review_ids = record_ids(model.vocab, train_records)
     valid = [(g, record_ids(model.vocab, g.records)) for g in valid_groups]
 
-    steps_per_epoch = len(_epoch_plan(train_records, groups, config, 0).batches)
+    steps_per_epoch = len(_epoch_plan(train_records, groups, config, 0))
     total_steps = max(config.epochs * steps_per_epoch, 1)
 
     towers = (model.context, model.review)
@@ -333,9 +333,9 @@ def train(
 
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
-        plan = _epoch_plan(train_records, groups, config, epoch - 1)
+        batches = _epoch_plan(train_records, groups, config, epoch - 1)
         loss_total = 0.0
-        for b_idx, batch in enumerate(plan.batches):
+        for b_idx, batch in enumerate(batches):
             try:
                 # Each tower's batch is pooled once, for both of its passes.
                 pooled = [pool_ids(params, [ids[i] for i in batch.indices])
@@ -371,7 +371,7 @@ def train(
                 result.best_model = None  # release the old copy before making the new one
                 # No later epoch changes the model after the last one.
                 result.best_model = model if epoch == config.epochs else model.copy()
-        mean_loss = loss_total / max(len(plan.batches), 1)
+        mean_loss = loss_total / max(len(batches), 1)
         result.epochs.append(EpochStats(epoch, mean_loss, val_mrr, time.perf_counter() - started))
 
     del states

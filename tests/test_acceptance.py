@@ -227,7 +227,7 @@ def test_criterion_05_sampler_properties():
             random_epoch(records, batch_size, seed=i),
             in_accommodation_epoch(group_by_accommodation(records), batch_size, seed=i),
         ):
-            violations += len(verify_plan(plan, records).violations)
+            violations += len(verify_plan(plan, records, batch_size))
             plans += 1
     report(5, violations == 0, f"{violations} violations across {plans} epoch plans")
 

@@ -81,6 +81,21 @@ class TestIngest:
     def test_unreadable_input_exit_2(self, capsys):
         assert main(["ingest", "--input", "no/such/file.csv"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "--input", "FILE"],
+        ["ingest", "--strict", "--input", "FILE"],
+        ["train", "--data", "FILE", "--out", "OUT"],
+    ])
+    def test_not_utf8_input_exit_1_names_the_file(self, corpus_csv, tmp_path, capsys, argv):
+        lines = corpus_csv.read_bytes().split(b"\n")
+        lines[30] = lines[30].replace(b"synth-", b"synth\xa4", 1)
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"\n".join(lines))
+        names = {"FILE": str(path), "OUT": str(tmp_path / "out")}
+        assert main([names.get(arg, arg) for arg in argv]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: not UTF-8 text (byte 0xa4: invalid start byte)\n")
+
     def oversized_field_csv(self, corpus_csv, tmp_path):
         """The corpus with one review field over the CSV reader's field limit."""
         lines = corpus_csv.read_text().splitlines()
@@ -518,6 +533,16 @@ def run_revrank(*argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(Path(revrank.__file__).parents[1]))
     return subprocess.run([sys.executable, "-m", "revrank", *argv],
                           capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_cli_import_leaves_scipy_out():
+    # Only evaluation.friedman_test needs scipy, which takes longer to import
+    # than a small rank query takes to run.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, revrank.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(Path(revrank.__file__).parents[1])))
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 class TestNonFiniteModel:

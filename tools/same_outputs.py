@@ -4,15 +4,21 @@
 
 PARENT and CHANGE are the roots of two checkouts.  The inputs are written
 once, with PARENT's ``bench/inputs.write_inputs``: the train-desk corpus of
-seed 5 and the train-widevocab corpus of seed 3.  Each side then runs the
-same commands in a subprocess, with its own ``src`` on ``PYTHONPATH``, one
-BLAS thread and ``PYTHONHASHSEED=0``:
+seed 5 and the train-widevocab corpus of seed 3; and with PARENT's
+``gen-synthetic --accommodations 40 --reviews 1..4``, a sparse corpus with
+one-review accommodations, ranked with train-desk's ``small.csv`` and
+``large.csv``.  Each side then runs the same commands in a subprocess, with
+its own ``src`` on ``PYTHONPATH``, one BLAS thread and ``PYTHONHASHSEED=0``:
 
 - ``train --preset desk`` on train-desk with default flags, ``--epochs 0``,
-  ``--split 1,0,0 --epochs 2``, ``--d 1 --d-e 1 --epochs 2`` and
-  ``--loss bce --sampler random --epochs 2``, and on train-widevocab with
+  ``--split 1,0,0 --epochs 2``, ``--d 1 --d-e 1 --epochs 2``,
+  ``--loss bce --sampler random --epochs 2``, ``--sampler random --split
+  1,0,0 --batch-size 59`` (3600 = 61 x 59 + 1: one record is left out of
+  each epoch) and ``--batch-size 11`` (groups of 12 = 11 + 1: each
+  accommodation gets one merged batch of 12); on train-widevocab with
   ``--epochs 1`` and ``--epochs 2`` (a wide table whose best model is the
-  final one, or a copy when epoch 1 is best);
+  final one, or a copy when epoch 1 is best); and on the sparse corpus with
+  default flags (one-review accommodations are left out);
 - after each training, ``evaluate --split 0.8,0.1,0.1 --methods
   model,votes,untrained`` and ``rank`` on ``small.csv`` and ``large.csv``,
   all from ``best.npz``;
@@ -40,20 +46,26 @@ import argparse
 import csv
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 CORPORA = {"desk": ("train-desk", 5), "widevocab": ("train-widevocab", 3)}
+SPARSE = ("--accommodations", "40", "--reviews", "1..4")
 TRAININGS = {
     "desk-default": ("desk", ()),
     "desk-epochs0": ("desk", ("--epochs", "0")),
     "desk-nosplit": ("desk", ("--split", "1,0,0", "--epochs", "2")),
     "desk-d1": ("desk", ("--d", "1", "--d-e", "1", "--epochs", "2")),
     "desk-bce-random": ("desk", ("--loss", "bce", "--sampler", "random", "--epochs", "2")),
+    "desk-random-drop": ("desk", ("--sampler", "random", "--split", "1,0,0",
+                                  "--batch-size", "59")),
+    "desk-merge": ("desk", ("--batch-size", "11")),
     "widevocab": ("widevocab", ("--epochs", "1")),
     "widevocab-epochs2": ("widevocab", ("--epochs", "2")),
+    "sparse": ("sparse", ()),
 }
 COMPARES = {"compare": (), "compare-stratify": ("--stratify",)}
 GEN_SYNTHETIC = {"gen-synthetic": (), "gen-synthetic-reviews": ("--reviews", "5..15")}
@@ -115,8 +127,9 @@ def write_malformed(corpus: Path, path: Path) -> None:
 
 
 def write_inputs(parent: Path, work: Path) -> dict[str, Path]:
-    """The directory of each corpus, by name, the lexicon file as "lexicon"
-    and the malformed copy of the train-desk corpus as "malformed"."""
+    """The directory of each corpus, by name (the sparse one as "sparse"),
+    the lexicon file as "lexicon" and the malformed copy of the train-desk
+    corpus as "malformed"."""
     env = environment(parent / "src", parent / "bench")
     dirs = {"lexicon": work / "inputs" / "lexicon.txt"}
     for name, (workload, seed) in CORPORA.items():
@@ -125,6 +138,15 @@ def write_inputs(parent: Path, work: Path) -> dict[str, Path]:
         if done.returncode != 0:
             raise SystemExit(f"error: writing the {workload} inputs failed:\n"
                              f"{done.stderr.decode(errors='replace')}")
+    dirs["sparse"] = work / "inputs" / "sparse"
+    dirs["sparse"].mkdir()
+    done = run(["-m", "revrank", "gen-synthetic", *SPARSE,
+                "--out", str(dirs["sparse"] / "corpus.csv")], env, work)
+    if done.returncode != 0:
+        raise SystemExit(f"error: writing the sparse corpus failed:\n"
+                         f"{done.stderr.decode(errors='replace')}")
+    for reviews in ("small.csv", "large.csv"):
+        shutil.copy(dirs["desk"] / reviews, dirs["sparse"] / reviews)
     dirs["lexicon"].write_text(LEXICON, encoding="utf-8")
     dirs["malformed"] = work / "inputs" / "malformed.csv"
     write_malformed(dirs["desk"] / "corpus.csv", dirs["malformed"])
