@@ -65,7 +65,8 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(1, f"{self.prog}: {message}")
 
 
-def _parse_fractions(text: str) -> tuple[float, float, float]:
+def _split_parts(records, text: str, seed: int) -> dict[str, list]:
+    """The records of each part of the ``--split`` fractions in ``text``, by part name."""
     parts = text.split(",")
     if len(parts) != 3:
         raise CliError(1, f"--split needs three comma-separated fractions, got {text!r}")
@@ -75,25 +76,26 @@ def _parse_fractions(text: str) -> tuple[float, float, float]:
             fractions.append(float(part))
         except ValueError:
             raise CliError(1, f"--split fraction {part!r} is not a number (in {text!r})") from None
-    return tuple(fractions)  # type: ignore[return-value]
-
-
-def _split_parts(records, fractions, seed: int) -> dict[str, list]:
-    """The records of each part of the split, by part name."""
-    parts = split_dataset(group_by_accommodation(records), fractions, seed)
+    split = split_dataset(group_by_accommodation(records), tuple(fractions), seed)
     return {
         name: [r for g in groups for r in g.records]
-        for name, groups in zip(("train", "valid", "test"), parts)
+        for name, groups in zip(("train", "valid", "test"), split)
     }
 
 
-def _load_csv(path: str, schema_mode: str = "strict"):
-    """``load_csv``, with ``path`` named when the file is not UTF-8 text."""
+@contextmanager
+def _utf8_named(path: str):
+    """Name ``path`` when the file read inside is not UTF-8 text."""
     try:
-        return load_csv(path, schema_mode)
+        yield
     except UnicodeDecodeError as exc:
         raise CliError(1, f"{path}: not UTF-8 text "
                           f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
+
+
+def _load_csv(path: str, schema_mode: str = "strict"):
+    with _utf8_named(path):
+        return load_csv(path, schema_mode)
 
 
 def _check_seed(seed: int) -> None:
@@ -152,7 +154,7 @@ def cmd_train(args) -> int:
     config = layer_config(base, args.config, flags)
 
     records = _load_csv(args.data).records
-    parts = _split_parts(records, _parse_fractions(args.split), config.seed)
+    parts = _split_parts(records, args.split, config.seed)
     result = train(parts["train"], parts["valid"], config, out_dir=args.out)
     sys.stdout.write(result.log_text())
     if args.out:
@@ -169,9 +171,11 @@ def cmd_evaluate(args) -> int:
     if not method_names:
         raise CliError(1, "--methods must name at least one method")
 
+    if args.part and not args.split:
+        raise CliError(1, "--part needs --split")
     records = _load_csv(args.data).records
     if args.split:
-        records = _split_parts(records, _parse_fractions(args.split), args.seed)[args.part]
+        records = _split_parts(records, args.split, args.seed)[args.part or "test"]
     groups = group_by_accommodation(records)
 
     model = None
@@ -275,7 +279,8 @@ def cmd_compare(args) -> int:
     _check_seed(args.seed)
     model = load_checkpoint(args.checkpoint)
     baseline = load_checkpoint(args.baseline_checkpoint)
-    lexicon = parse_lexicon(Path(args.lexicon).read_text(encoding="utf-8"))
+    with _utf8_named(args.lexicon):
+        lexicon = parse_lexicon(Path(args.lexicon).read_text(encoding="utf-8"))
     if not lexicon:
         raise CliError(1, f"lexicon file {args.lexicon} defines no topics")
     records = _load_csv(args.data).records
@@ -358,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="model,votes",
                    help="comma-separated: model, votes, untrained")
     p.add_argument("--split", help="evaluate one part of a split, e.g. 0.8,0.1,0.1")
-    p.add_argument("--part", choices=("train", "valid", "test"), default="test",
+    p.add_argument("--part", choices=("train", "valid", "test"),
                    help="which split part to evaluate (with --split)")
     p.add_argument("--seed", type=int, default=0,
                    help="split and untrained-initialization seed")

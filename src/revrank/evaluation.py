@@ -20,8 +20,15 @@ Friedman test over accommodations as blocks, with the pairwise Dunn test as
 post-hoc.
 
 The Friedman statistic follows the classical formula without tie
-correction; its p-value comes from the chi-square survival function, and
-Dunn p-values from the normal survival function.
+correction.  Its p-value is the chi-square survival function in closed
+form (``chi2_sf``): with h = x/2,
+
+    P(X > x) = [erfc(sqrt(h)) if df is odd]
+               + sum over i = (df mod 2)/2, ..., df/2 - 1 of h^i e^-h / Gamma(i + 1),
+
+each term computed as exp(i ln h - h - lgamma(i + 1)); it is exactly 1 at
+x = 0 and clipped at 1.  Dunn p-values come from the normal survival
+function.
 """
 
 from __future__ import annotations
@@ -179,6 +186,21 @@ def average_ranks(values: Sequence[float]) -> list[float]:
     return ranks
 
 
+def chi2_sf(x: float, df: int) -> float:
+    """P(X > x) for X chi-square with ``df`` degrees of freedom.
+
+    The closed form of the module docstring.  Each term is the exp of its
+    logarithm, so it does not underflow where e^-h alone would (h > 745).
+    """
+    half = x / 2.0
+    if half == 0.0:
+        return 1.0
+    tail = math.erfc(math.sqrt(half)) if df % 2 else 0.0
+    terms = (math.exp(i * math.log(half) - half - math.lgamma(i + 1))
+             for i in (n + df % 2 / 2 for n in range(df // 2)))
+    return min(tail + math.fsum(terms), 1.0)
+
+
 @dataclass
 class FriedmanResult:
     statistic: float
@@ -208,14 +230,9 @@ def friedman_test(scores: np.ndarray) -> FriedmanResult:
     statistic = 12.0 / (b * m * (m + 1)) * sum(r * r for r in rank_sums) - 3.0 * b * (m + 1)
     statistic = max(statistic, 0.0)  # guard tiny negative rounding on all-tied input
     df = m - 1
-    # Imported here: scipy takes longer to import than a small `rank` takes
-    # to run, and no other command needs it.
-    from scipy.special import gammaincc
-
-    p_value = float(gammaincc(df / 2.0, statistic / 2.0))
     return FriedmanResult(
         statistic=float(statistic),
-        p_value=p_value,
+        p_value=chi2_sf(statistic, df),
         df=df,
         rank_sums=rank_sums,
         rank_means=[r / b for r in rank_sums],

@@ -296,6 +296,15 @@ class TestEvaluate:
         assert capsys.readouterr().err == (
             "error: --split fraction '' is not a number (in '0.8,0.1,')\n")
 
+    def test_part_needs_split(self, corpus_csv, capsys):
+        data = ["evaluate", "--data", str(corpus_csv), "--methods", "votes"]
+        assert main([*data, "--part", "valid"]) == 1
+        assert capsys.readouterr() == ("", "error: --part needs --split\n")
+        assert main([*data, "--split", "0.8,0.1,0.1"]) == 0
+        default = capsys.readouterr().out
+        assert main([*data, "--split", "0.8,0.1,0.1", "--part", "test"]) == 0
+        assert capsys.readouterr().out == default
+
     def test_model_without_checkpoint_exit_1(self, corpus_csv):
         assert main(["evaluate", "--data", str(corpus_csv), "--methods", "model"]) == 1
 
@@ -457,6 +466,17 @@ class TestCompare:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_not_utf8_lexicon_exit_1_names_the_file(self, corpus_csv, checkpoint_dir,
+                                                     tmp_path):
+        lexicon = tmp_path / "topics.txt"
+        lexicon.write_bytes(b"solo: quiet\xa4, wifi\n")
+        proc = run_revrank("compare", "--checkpoint", str(checkpoint_dir / "best.npz"),
+                           "--baseline-checkpoint", str(checkpoint_dir / "final.npz"),
+                           "--data", str(corpus_csv), "--lexicon", str(lexicon))
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            f"error: {lexicon}: not UTF-8 text (byte 0xa4: invalid start byte)\n")
+
     def test_empty_lexicon_exit_1(self, corpus_csv, checkpoint_dir, tmp_path, capsys):
         lexicon = tmp_path / "empty.txt"
         lexicon.write_text("# only comments\n")
@@ -535,14 +555,30 @@ def run_revrank(*argv: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, env=env, timeout=300)
 
 
-def test_cli_import_leaves_scipy_out():
-    # Only evaluation.friedman_test needs scipy, which takes longer to import
-    # than a small rank query takes to run.
+# Imports revrank.cli and runs the argv after the script; prints the
+# top-level modules this loaded other than the standard library, numpy and
+# revrank.
+ONLY_NUMPY = """
+import sys
+before = {name.split(".")[0] for name in sys.modules}
+from revrank.cli import main
+assert main(sys.argv[1:]) == 0
+loaded = {name.split(".")[0] for name in sys.modules} - before
+print(sorted(loaded - set(sys.stdlib_module_names) - {"numpy", "revrank"}))
+"""
+
+
+def test_evaluate_loads_only_numpy(corpus_csv, checkpoint_dir, tmp_path):
+    # Two methods over 40 accommodations, so the Friedman test runs.
+    report = tmp_path / "report.txt"
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, revrank.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", ONLY_NUMPY, "evaluate", "--methods", "model,votes",
+         "--checkpoint", str(checkpoint_dir / "best.npz"), "--data", str(corpus_csv),
+         "--out", str(report)],
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=str(Path(revrank.__file__).parents[1])))
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+    assert "# friedman\tchi2=" in report.read_text()
 
 
 class TestNonFiniteModel:

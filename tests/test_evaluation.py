@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaincc
 
 from revrank.dataset import GuestType, group_by_accommodation
 from revrank.encoder import (
@@ -17,6 +18,7 @@ from revrank.encoder import (
 from revrank.evaluation import (
     DunnResult,
     average_ranks,
+    chi2_sf,
     detect_topics,
     dunn_posthoc,
     evaluate_methods,
@@ -372,6 +374,29 @@ class TestFriedman:
             friedman_test(np.zeros((1, 3)))
         with pytest.raises(ValueError):
             friedman_test(np.zeros((3, 1)))
+
+
+class TestChi2Sf:
+    # scipy's regularized upper incomplete gamma function is the oracle:
+    # P(X > x) = Q(df/2, x/2).
+    @settings(max_examples=500, deadline=None)
+    @given(df=st.integers(1, 12), x=st.floats(0.0, 200.0))
+    def test_matches_gammaincc(self, df, x):
+        expected = float(gammaincc(df / 2.0, x / 2.0))
+        assert abs(chi2_sf(x, df) - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 12, 999, 2000])
+    def test_zero_is_exactly_one(self, df):
+        assert chi2_sf(0.0, df) == 1.0
+
+    @pytest.mark.parametrize("df", [1600, 2000, 2501, 3001])
+    @pytest.mark.parametrize("offset", [-60.0, 0.0, 60.0])
+    def test_many_degrees_of_freedom(self, df, offset):
+        x = df + offset
+        assert math.exp(-x / 2.0) == 0.0  # a sum scaled by e^(-x/2) would read 0
+        expected = float(gammaincc(df / 2.0, x / 2.0))
+        assert 0.0 < expected < 1.0
+        assert abs(chi2_sf(x, df) - expected) <= 1e-10 * expected
 
 
 class TestDunn:

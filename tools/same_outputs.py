@@ -19,9 +19,12 @@ its own ``src`` on ``PYTHONPATH``, one BLAS thread and ``PYTHONHASHSEED=0``:
   ``--epochs 1`` and ``--epochs 2`` (a wide table whose best model is the
   final one, or a copy when epoch 1 is best); and on the sparse corpus with
   default flags (one-review accommodations are left out);
-- after each training, ``evaluate --split 0.8,0.1,0.1 --methods
-  model,votes,untrained`` and ``rank`` on ``small.csv`` and ``large.csv``,
-  all from ``best.npz``;
+- after each training, ``evaluate --split 0.8,0.1,0.1`` with ``--methods
+  model,votes,untrained`` and with ``--methods model,votes``, and ``rank``
+  on ``small.csv`` and ``large.csv``, all from ``best.npz``; three methods
+  give the Friedman test two degrees of freedom and two give one, so both
+  parities of its chi-square tail are printed (the ``--epochs 0`` and
+  sparse trainings' p-values are far from 0 and 1);
 - ``compare`` of the default training's ``best.npz`` against the
   ``--epochs 0`` one on the train-desk corpus, with and without
   ``--stratify``, over a small lexicon written next to the inputs;
@@ -170,9 +173,11 @@ def side_outputs(checkout: Path, out: Path, inputs: dict[str, Path]) -> dict[str
         command(f"{training}/train", ["train", "--preset", "desk", *flags,
                                       "--data", str(data / "corpus.csv"), "--out", str(ckpt)])
         best = str(ckpt / "best.npz")
-        command(f"{training}/evaluate", [
-            "evaluate", "--checkpoint", best, "--data", str(data / "corpus.csv"),
-            "--split", "0.8,0.1,0.1", "--methods", "model,votes,untrained"])
+        for key, methods in (("evaluate", "model,votes,untrained"),
+                             ("evaluate-two-methods", "model,votes")):
+            command(f"{training}/{key}", [
+                "evaluate", "--checkpoint", best, "--data", str(data / "corpus.csv"),
+                "--split", "0.8,0.1,0.1", "--methods", methods])
         for reviews, top in (("small", "12"), ("large", "500")):
             command(f"{training}/rank-{reviews}", [
                 "rank", "--checkpoint", best, "--reviews", str(data / f"{reviews}.csv"),
