@@ -33,8 +33,11 @@ train_records = [r for g in train_g for r in g.records]
 valid_records = [r for g in valid_g for r in g.records]
 print(f"accommodations: {len(train_g)} train / {len(valid_g)} valid / {len(test_g)} test")
 
-# An oracle that knows the generator's lexicons cannot exceed this MRR,
-# so it bounds what any trained model can reach on this corpus.
+# The Bayes ranker orders reviews by the posterior that the context's guest
+# type wrote them. Its expected MRR over the accommodations with at least 2
+# reviews, ties counted at their expected rank, bounds what a trained model
+# can reach: a model may land above it on one corpus by noise, but not in
+# expectation.
 print(f"bayes-optimal MRR for this generator: {bayes_optimal_mrr(synth):.4f}")
 
 config = TrainConfig(seed=1)

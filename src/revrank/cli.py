@@ -31,6 +31,7 @@ from .dataset import (
     schema,
     split_dataset,
     statistics_key_values,
+    utf8_named,
     validate_statistics,
     write_csv,
     GuestContext,
@@ -83,21 +84,6 @@ def _split_parts(records, text: str, seed: int) -> dict[str, list]:
     }
 
 
-@contextmanager
-def _utf8_named(path: str):
-    """Name ``path`` when the file read inside is not UTF-8 text."""
-    try:
-        yield
-    except UnicodeDecodeError as exc:
-        raise CliError(1, f"{path}: not UTF-8 text "
-                          f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
-
-
-def _load_csv(path: str, schema_mode: str = "strict"):
-    with _utf8_named(path):
-        return load_csv(path, schema_mode)
-
-
 def _check_seed(seed: int) -> None:
     if seed < 0:
         raise CliError(1, f"--seed must be >= 0, got {seed}")
@@ -124,7 +110,7 @@ def _write_or_print(text: str, path: str | None) -> None:
 
 def cmd_ingest(args) -> int:
     mode = "strict" if args.strict else "lenient"
-    result = _load_csv(args.input, schema_mode=mode)
+    result = load_csv(args.input, schema_mode=mode)
     stats = validate_statistics(result.records)
     lines = [statistics_key_values(stats).rstrip("\n")]
     lines.append(f"rejections={len(result.rejections)}")
@@ -153,7 +139,7 @@ def cmd_train(args) -> int:
     flags = vars(args) | {"sampler": args.sampler and args.sampler.replace("-", "_")}
     config = layer_config(base, args.config, flags)
 
-    records = _load_csv(args.data).records
+    records = load_csv(args.data).records
     parts = _split_parts(records, args.split, config.seed)
     result = train(parts["train"], parts["valid"], config, out_dir=args.out)
     sys.stdout.write(result.log_text())
@@ -173,7 +159,7 @@ def cmd_evaluate(args) -> int:
 
     if args.part and not args.split:
         raise CliError(1, "--part needs --split")
-    records = _load_csv(args.data).records
+    records = load_csv(args.data).records
     if args.split:
         records = _split_parts(records, args.split, args.seed)[args.part or "test"]
     groups = group_by_accommodation(records)
@@ -243,7 +229,7 @@ def cmd_rank(args) -> int:
     if args.top < 1:
         raise CliError(1, f"--top must be >= 1, got {args.top}")
     model = load_checkpoint(args.checkpoint)
-    records = _load_csv(args.reviews).records
+    records = load_csv(args.reviews).records
     groups = group_by_accommodation(records)
     if len(groups) != 1:
         sample = ", ".join(g.accommodation_id for g in groups[:4])
@@ -279,11 +265,11 @@ def cmd_compare(args) -> int:
     _check_seed(args.seed)
     model = load_checkpoint(args.checkpoint)
     baseline = load_checkpoint(args.baseline_checkpoint)
-    with _utf8_named(args.lexicon):
+    with utf8_named(args.lexicon):
         lexicon = parse_lexicon(Path(args.lexicon).read_text(encoding="utf-8"))
     if not lexicon:
         raise CliError(1, f"lexicon file {args.lexicon} defines no topics")
-    records = _load_csv(args.data).records
+    records = load_csv(args.data).records
     groups = group_by_accommodation(records)
 
     def scorer(m, path):

@@ -34,7 +34,10 @@ def parse_value(cls: type, key: str, raw: str) -> Any:
     parser = config_keys(cls).get(key)
     if parser is None:
         raise ValueError(f"unknown config key {key!r}")
-    return parser(raw.strip())
+    try:
+        return parser(raw.strip())
+    except ValueError as exc:
+        raise ValueError(f"bad {key!r}: {exc}") from None
 
 
 def parse_config_file(cls: type, path: str | Path) -> dict[str, Any]:

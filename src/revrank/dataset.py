@@ -15,6 +15,7 @@ import csv
 import enum
 import operator
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import cache
 from pathlib import Path
@@ -306,6 +307,16 @@ def _rows(reader: Iterator[list[str]]) -> Iterator[list[str] | csv.Error]:
             yield exc
 
 
+@contextmanager
+def utf8_named(path: str | Path):
+    """Raise ValueError naming ``path`` when the file read inside is not UTF-8 text."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text "
+                         f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
+
+
 def load_csv(path: str | Path, schema_mode: str = "strict") -> LoadResult:
     """Load a review CSV.
 
@@ -315,6 +326,7 @@ def load_csv(path: str | Path, schema_mode: str = "strict") -> LoadResult:
     Rows whose accommodation context disagrees with an earlier row of the
     same accommodation_id are malformed, and so are rows the CSV reader
     cannot split (a field over ``csv.field_size_limit()``, a NUL byte).
+    A file that is not UTF-8 text raises ValueError naming it.
 
     Rows are read as cell lists and picked by column position, with the
     semantics of ``csv.DictReader``: blank lines are skipped and not
@@ -327,7 +339,7 @@ def load_csv(path: str | Path, schema_mode: str = "strict") -> LoadResult:
     if schema_mode not in ("strict", "lenient"):
         raise ValueError(f"schema_mode must be 'strict' or 'lenient', got {schema_mode!r}")
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8") as handle, utf8_named(path):
         reader = csv.reader(handle)
         try:
             header = next(reader, None)

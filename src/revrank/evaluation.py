@@ -160,14 +160,16 @@ def per_accommodation_precision(rank_vectors: Sequence[np.ndarray], k: int) -> l
     ]
 
 
-def random_scorer_expectation(m: int) -> float:
-    """Expected reciprocal rank of one item under a uniformly random order.
+def harmonic(n: int) -> float:
+    """The n-th harmonic number H_n = 1 + 1/2 + ... + 1/n, summed in that order."""
+    return sum(1.0 / i for i in range(1, n + 1))
 
-    Equals H_m / m, where H_m is the m-th harmonic number.
-    """
+
+def random_scorer_expectation(m: int) -> float:
+    """Expected reciprocal rank of one item under a uniformly random order: H_m / m."""
     if m < 1:
         raise ValueError(f"group size must be >= 1, got {m}")
-    return sum(1.0 / i for i in range(1, m + 1)) / m
+    return harmonic(m) / m
 
 
 def average_ranks(values: Sequence[float]) -> list[float]:

@@ -17,8 +17,20 @@ text.  Beyond the text signal, two realism features are planted:
   matching the published corpus) and heavy-tailed, and independent of the
   planted signal, so the votes baseline is uninformative by construction.
 
-``bayes_optimal_mrr`` scores a generated corpus with the true generative
-likelihood, giving the ceiling any trained model can reach.
+``bayes_optimal_mrr`` is the ceiling a trained model is measured against:
+the expected MRR of the Bayes ranker, which orders each accommodation's
+reviews by the posterior that they were written by the context's guest
+type, over the accommodations with at least 2 reviews (those ``evaluate``
+ranks).  The lexicons are pairwise disjoint, so a review either holds
+segment tokens of exactly one guest type (it "names" that type, and its
+posterior is 1 for it and 0 for the others) or background tokens only (its
+posterior is the uniform prior).  For a context of type g in a group with
+A reviews named g and U unnamed ones, the ranker puts the A first and the
+U next, each set tied.  A tie counts at its expected reciprocal rank
+(McSherry & Najork, ECIR 2008), so the context scores H_A / A when its own
+review is named and (H_{A+U} - H_A) / U when it is not.  The ceiling is an
+expectation over the corpus draw: a model can exceed it on one corpus by
+noise, but not in expectation.
 """
 
 from __future__ import annotations
@@ -39,7 +51,7 @@ from .dataset import (
     group_by_accommodation,
 )
 from .encoder import tokenize
-from .evaluation import mrr, rank_from_scores
+from .evaluation import harmonic
 from .textualize import review_text
 
 DEFAULT_SEGMENT_LEXICONS: dict[GuestType, tuple[str, ...]] = {
@@ -215,38 +227,38 @@ def generate(config: SynthConfig) -> list[ReviewRecord]:
     return records
 
 
-def token_log_likelihood(
-    tokens: Sequence[str], guest_type: GuestType, config: SynthConfig
-) -> float:
-    """Log-probability of a token sequence under one guest type's mixture."""
-    segment = set(config.segment_lexicons[guest_type])
-    background = set(config.background_lexicon)
-    seg_p = config.signal_strength / len(segment)
-    bg_p = (1.0 - config.signal_strength) / len(background)
-    total = 0.0
-    for token in tokens:
-        p = (seg_p if token in segment else 0.0) + (bg_p if token in background else 0.0)
-        if p == 0.0:
-            return -math.inf
-        total += math.log(p)
-    return total
-
-
 def bayes_optimal_mrr(config: SynthConfig, records: Sequence[ReviewRecord] | None = None) -> float:
-    """MRR of the ideal scorer on a corpus generated from ``config``.
+    """Expected MRR of the Bayes ranker on a corpus generated from ``config``.
 
-    Every review is scored with the exact generative likelihood of its
-    tokens under the context's guest type; this is the model-free ceiling.
-    Pass ``records`` to reuse an already generated corpus.
+    The closed form of the module docstring, averaged over the contexts of
+    each accommodation with at least 2 reviews and then over those
+    accommodations.  Pass ``records`` to reuse an already generated corpus;
+    a review that ``config`` cannot have generated (a token in none of its
+    lexicons, or segment tokens of another guest type than its own) raises
+    ValueError.
     """
     if records is None:
         records = generate(config)
-    rank_vectors = []
-    for group in group_by_accommodation(records):
-        tokens = [tokenize(review_text(r.review)) for r in group.records]
-        scores = [
-            [token_log_likelihood(t, r.guest.guest_type, config) for t in tokens]
-            for r in group.records
-        ]
-        rank_vectors.append(rank_from_scores(np.array(scores)))
-    return mrr(rank_vectors)
+    names = dict.fromkeys(config.background_lexicon)  # token -> the guest type it names, or None
+    names.update((t, gt) for gt, lexicon in config.segment_lexicons.items() for t in lexicon)
+    groups = [g for g in group_by_accommodation(records) if len(g) >= 2]
+    if not groups:
+        raise ValueError("no accommodation with at least 2 reviews")
+    group_means = []
+    for group in groups:
+        named = []  # the guest type each review names, or None
+        for position, record in enumerate(group.records):
+            guest_type = record.guest.guest_type
+            # Each token's guest type, None for background, or the token if foreign.
+            kinds = {names.get(t, t) for t in tokenize(review_text(record.review))}
+            for stray in kinds - {None, guest_type}:
+                what = stray.value if isinstance(stray, GuestType) else f"{stray!r}, in no lexicon"
+                raise ValueError(f"accommodation {group.accommodation_id!r} review {position} "
+                                 f"by a {guest_type.value} guest names {what}")
+            named.append(guest_type if guest_type in kinds else None)
+        total = 0.0
+        for record, own in zip(group.records, named):
+            a, u = named.count(record.guest.guest_type), named.count(None)
+            total += harmonic(a) / a if own else (harmonic(a + u) - harmonic(a)) / u
+        group_means.append(total / len(group))
+    return sum(group_means) / len(group_means)

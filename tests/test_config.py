@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from revrank.cli import main
 from revrank.config import (
     config_keys,
     config_to_text,
@@ -124,6 +125,38 @@ class TestValues:
         assert parse_value(TrainConfig, "loss", " bce ") == "bce"
         with pytest.raises(ValueError):
             parse_value(TrainConfig, "epochs", "3.5")
+
+    @pytest.mark.parametrize("flags", [
+        {"reviews_per_accommodation": "x"}, {"reviews_per_accommodation": "3..x"},
+    ])
+    def test_bad_flag_value_names_its_key(self, flags):
+        with pytest.raises(ValueError, match=(
+                r"^bad 'reviews_per_accommodation': invalid literal for int\(\) "
+                r"with base 10: 'x'$")):
+            layer_config(SynthConfig(), None, flags)
+
+    def test_bad_file_value_names_its_key(self, tmp_path):
+        path = tmp_path / "train.cfg"
+        path.write_text("epochs = two\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=(
+                r"^bad 'epochs': invalid literal for int\(\) with base 10: 'two'$")):
+            parse_config_file(TrainConfig, path)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gen-synthetic", "--reviews", "x", "--out", "OUT"],
+         "bad 'reviews_per_accommodation': invalid literal for int() with base 10: 'x'"),
+        (["gen-synthetic", "--reviews", "3..x", "--out", "OUT"],
+         "bad 'reviews_per_accommodation': invalid literal for int() with base 10: 'x'"),
+        (["train", "--config", "CONFIG", "--data", "DATA", "--out", "OUT"],
+         "bad 'epochs': invalid literal for int() with base 10: 'two'"),
+    ])
+    def test_cli_exit_1_names_the_key(self, tmp_path, capsys, argv, message):
+        config = tmp_path / "train.cfg"
+        config.write_text("epochs = two\n", encoding="utf-8")
+        names = {"CONFIG": str(config), "DATA": str(tmp_path / "absent.csv"),
+                 "OUT": str(tmp_path / "out")}
+        assert main([names.get(arg, arg) for arg in argv]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_line_without_equals_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"

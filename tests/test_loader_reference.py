@@ -101,6 +101,14 @@ def reference_rows(reader):
 
 def reference_load_csv(path, schema_mode="strict"):
     path = Path(path)
+    try:
+        return reference_load_utf8_csv(path, schema_mode)
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ValueError(f"{path}: not UTF-8 text (byte 0x{byte:02x}: {exc.reason})") from None
+
+
+def reference_load_utf8_csv(path, schema_mode):
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
         try:
@@ -144,7 +152,7 @@ def reference_load_csv(path, schema_mode="strict"):
 def outcome(loader, path, mode):
     try:
         result = loader(path, schema_mode=mode)
-    except (SchemaError, RowError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # SchemaError and RowError included
         return type(exc), str(exc)
     return repr(result.records), [(r.row, r.reason) for r in result.rejections]
 

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 import tempfile
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
@@ -12,14 +15,13 @@ from revrank.dataset import (
     load_csv,
     write_csv,
 )
-from revrank.evaluation import random_scorer_expectation
+from revrank.evaluation import mrr, random_scorer_expectation, rank_from_scores
 from revrank.synthgen import (
     DEFAULT_BACKGROUND_LEXICON,
     DEFAULT_SEGMENT_LEXICONS,
     SynthConfig,
     bayes_optimal_mrr,
     generate,
-    token_log_likelihood,
 )
 
 SMALL = dict(n_accommodations=40, reviews_per_accommodation=(10, 10))
@@ -37,6 +39,78 @@ def review_tokens(record):
     parts = [record.review.review_title, record.review.review_positive,
              record.review.review_negative]
     return " ".join(p for p in parts if p).split()
+
+
+def token_log_likelihood(tokens, guest_type, config):
+    """Log-probability of a token sequence under one guest type's mixture."""
+    segment = set(config.segment_lexicons[guest_type])
+    background = set(config.background_lexicon)
+    seg_p = config.signal_strength / len(segment)
+    bg_p = (1.0 - config.signal_strength) / len(background)
+    total = 0.0
+    for token in tokens:
+        p = (seg_p if token in segment else 0.0) + (bg_p if token in background else 0.0)
+        if p == 0.0:
+            return -math.inf
+        total += math.log(p)
+    return total
+
+
+def likelihood_ranker_mrr(config, records):
+    """MRR of ranking each group's reviews by P(tokens | the context's guest type)."""
+    rank_vectors = []
+    for group in group_by_accommodation(records):
+        tokens = [review_tokens(r) for r in group.records]
+        scores = [[token_log_likelihood(t, r.guest.guest_type, config) for t in tokens]
+                  for r in group.records]
+        rank_vectors.append(rank_from_scores(np.array(scores)))
+    return mrr(rank_vectors)
+
+
+def exact_harmonic(n):
+    return sum((Fraction(1, i) for i in range(1, n + 1)), Fraction(0))
+
+
+def posterior_ranker_mrr(config, records):
+    """Exact expected MRR of ranking by the posterior P(guest type | tokens).
+
+    Likelihoods and posteriors are fractions; a tie set of t reviews below
+    g better ones scores its expected reciprocal rank (H_{g+t} - H_g) / t.
+    Groups of fewer than 2 reviews are left out.
+    """
+    signal = Fraction(config.signal_strength)
+    background = config.background_lexicon
+
+    def likelihood(tokens, guest_type):
+        segment = config.segment_lexicons[guest_type]
+        p = Fraction(1)
+        for token in tokens:
+            p *= ((signal / len(segment) if token in segment else 0)
+                  + ((1 - signal) / len(background) if token in background else 0))
+        return p
+
+    group_means = []
+    for group in group_by_accommodation(records):
+        if len(group) < 2:
+            continue
+        likelihoods = [{gt: likelihood(review_tokens(r), gt) for gt in GuestType}
+                       for r in group.records]
+        total = Fraction(0)
+        for j, record in enumerate(group.records):
+            posterior = [lk[record.guest.guest_type] / sum(lk.values()) for lk in likelihoods]
+            better = sum(p > posterior[j] for p in posterior)
+            tied = sum(p == posterior[j] for p in posterior)
+            total += (exact_harmonic(better + tied) - exact_harmonic(better)) / tied
+        group_means.append(total / len(group))
+    return sum(group_means) / len(group_means)
+
+
+def with_token_appended(records, index, token):
+    """``records`` with ``token`` appended to the positive text of review ``index``."""
+    record = records[index]
+    review = dataclasses.replace(record.review,
+                                 review_positive=f"{record.review.review_positive} {token}")
+    return records[:index] + [dataclasses.replace(record, review=review)] + records[index + 1:]
 
 
 class TestConfigValidation:
@@ -220,3 +294,53 @@ class TestBayesOptimalMrr:
         cfg = SynthConfig(signal_strength=0.5, seed=1, **SMALL)
         records = generate(cfg)
         assert bayes_optimal_mrr(cfg, records) == bayes_optimal_mrr(cfg)
+
+
+class TestBayesCeilingClosedForm:
+    def tiny(self, signal, seed):
+        return SynthConfig(n_accommodations=30, reviews_per_accommodation=(1, 8),
+                           segment_lexicons=dict(TINY_SEGMENTS),
+                           background_lexicon=TINY_BACKGROUND,
+                           signal_strength=signal, seed=seed)
+
+    @pytest.mark.parametrize("signal", [0.0, 0.05, 0.1, 0.3, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_exact_posterior_ranker(self, signal, seed):
+        cfg = self.tiny(signal, seed)
+        records = generate(cfg)
+        assert bayes_optimal_mrr(cfg, records) == pytest.approx(
+            float(posterior_ranker_mrr(cfg, records)), abs=1e-12)
+
+    def test_above_likelihood_ranker_at_low_signal(self):
+        cfg = SynthConfig(signal_strength=0.1, seed=0, **SMALL)
+        records = generate(cfg)
+        likelihood = likelihood_ranker_mrr(cfg, records)
+        assert likelihood == pytest.approx(0.4751, abs=1e-4)
+        assert bayes_optimal_mrr(cfg, records) > likelihood
+
+    def test_single_review_accommodations_left_out(self):
+        cfg = SynthConfig(n_accommodations=40, reviews_per_accommodation=(1, 3), seed=0)
+        records = generate(cfg)
+        groups = group_by_accommodation(records)
+        kept = [r for g in groups if len(g) >= 2 for r in g.records]
+        assert len(kept) < len(records)
+        assert bayes_optimal_mrr(cfg, records) == bayes_optimal_mrr(cfg, kept)
+        assert bayes_optimal_mrr(cfg, records) == pytest.approx(0.8815, abs=1e-4)
+        singles = [g.records[0] for g in groups if len(g) == 1]
+        with pytest.raises(ValueError, match="at least 2 reviews"):
+            bayes_optimal_mrr(cfg, singles)
+
+    def test_foreign_token_rejected(self):
+        cfg = SynthConfig(seed=0, **SMALL)
+        records = generate(cfg)
+        records = with_token_appended(records, 3, "qq")
+        with pytest.raises(ValueError, match="'synth-00000' review 3 by a .* names 'qq', in no"):
+            bayes_optimal_mrr(cfg, records)
+
+    def test_review_naming_another_guest_type_rejected(self):
+        cfg = SynthConfig(seed=0, **SMALL)
+        records = generate(cfg)
+        other = next(gt for gt in GuestType if gt != records[3].guest.guest_type)
+        records = with_token_appended(records, 3, DEFAULT_SEGMENT_LEXICONS[other][0])
+        with pytest.raises(ValueError, match=f"review 3 by a .* guest names {other.value}$"):
+            bayes_optimal_mrr(cfg, records)
