@@ -53,30 +53,22 @@ from .textualize import serialize_context, serialize_review
 from .trainer import LOSS_CHOICES, PRESETS, SAMPLER_CHOICES, TrainConfig, train
 
 
-class CliError(Exception):
-    """Failure with a chosen exit code; the message goes to stderr."""
-
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # bad flags are validation failures, not I/O
-        raise CliError(1, f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _split_parts(records, text: str, seed: int) -> dict[str, list]:
     """The records of each part of the ``--split`` fractions in ``text``, by part name."""
     parts = text.split(",")
     if len(parts) != 3:
-        raise CliError(1, f"--split needs three comma-separated fractions, got {text!r}")
+        raise ValueError(f"--split needs three comma-separated fractions, got {text!r}")
     fractions = []
     for part in parts:
         try:
             fractions.append(float(part))
         except ValueError:
-            raise CliError(1, f"--split fraction {part!r} is not a number (in {text!r})") from None
+            raise ValueError(f"--split fraction {part!r} is not a number (in {text!r})") from None
     split = split_dataset(group_by_accommodation(records), tuple(fractions), seed)
     return {
         name: [r for g in groups for r in g.records]
@@ -86,7 +78,7 @@ def _split_parts(records, text: str, seed: int) -> dict[str, list]:
 
 def _check_seed(seed: int) -> None:
     if seed < 0:
-        raise CliError(1, f"--seed must be >= 0, got {seed}")
+        raise ValueError(f"--seed must be >= 0, got {seed}")
 
 
 @contextmanager
@@ -155,10 +147,10 @@ def cmd_evaluate(args) -> int:
     _check_seed(args.seed)
     method_names = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not method_names:
-        raise CliError(1, "--methods must name at least one method")
+        raise ValueError("--methods must name at least one method")
 
     if args.part and not args.split:
-        raise CliError(1, "--part needs --split")
+        raise ValueError("--part needs --split")
     records = load_csv(args.data).records
     if args.split:
         records = _split_parts(records, args.split, args.seed)[args.part or "test"]
@@ -167,7 +159,7 @@ def cmd_evaluate(args) -> int:
     model = None
     if any(m in ("model", "untrained") for m in method_names):
         if not args.checkpoint:
-            raise CliError(1, "--checkpoint is required for model/untrained methods")
+            raise ValueError("--checkpoint is required for model/untrained methods")
         model = load_checkpoint(args.checkpoint)
 
     token_ids = {}  # per group, shared: "untrained" has the model's vocabulary
@@ -192,7 +184,7 @@ def cmd_evaluate(args) -> int:
         elif name == "votes":
             rankers.append((name, helpful_votes_ranking))
         else:
-            raise CliError(1, f"unknown method {name!r} (expected model, votes, untrained)")
+            raise ValueError(f"unknown method {name!r} (expected model, votes, untrained)")
 
     report = evaluate_methods(rankers, groups, ks=(1, 10))
     _write_or_print(format_eval_report(report), args.out)
@@ -209,25 +201,25 @@ def _parse_context_flags(pairs: list[str]) -> GuestContext:
     for pair in pairs:
         key, sep, raw = pair.partition("=")
         if not sep:
-            raise CliError(1, f"--context expects key=value, got {pair!r}")
+            raise ValueError(f"--context expects key=value, got {pair!r}")
         key = key.strip()
         if key not in _CONTEXT_KEYS:
-            raise CliError(
-                1, f"unknown context key {key!r} (expected one of {', '.join(_CONTEXT_KEYS)})"
+            raise ValueError(
+                f"unknown context key {key!r} (expected one of {', '.join(_CONTEXT_KEYS)})"
             )
         values[key] = raw
     missing = [k for k in _CONTEXT_KEYS if k not in values]
     if missing:
-        raise CliError(1, f"missing context keys: {', '.join(missing)}")
+        raise ValueError(f"missing context keys: {', '.join(missing)}")
     try:
         return parse_fields(GuestContext, [values[k] for k in _CONTEXT_KEYS])
     except ValueError as exc:
-        raise CliError(1, f"--context: {exc}") from None
+        raise ValueError(f"--context: {exc}") from None
 
 
 def cmd_rank(args) -> int:
     if args.top < 1:
-        raise CliError(1, f"--top must be >= 1, got {args.top}")
+        raise ValueError(f"--top must be >= 1, got {args.top}")
     model = load_checkpoint(args.checkpoint)
     records = load_csv(args.reviews).records
     groups = group_by_accommodation(records)
@@ -235,9 +227,7 @@ def cmd_rank(args) -> int:
         sample = ", ".join(g.accommodation_id for g in groups[:4])
         if len(groups) > 4:
             sample += ", ..."
-        raise CliError(
-            1, f"reviews must share one accommodation, found {len(groups)}: {sample}"
-        )
+        raise ValueError(f"reviews must share one accommodation, found {len(groups)}: {sample}")
     group = groups[0]
     guest = _parse_context_flags(args.context)
     context = serialize_context(guest, group.records[0].accommodation)
@@ -268,7 +258,7 @@ def cmd_compare(args) -> int:
     with utf8_named(args.lexicon):
         lexicon = parse_lexicon(Path(args.lexicon).read_text(encoding="utf-8"))
     if not lexicon:
-        raise CliError(1, f"lexicon file {args.lexicon} defines no topics")
+        raise ValueError(f"lexicon file {args.lexicon} defines no topics")
     records = load_csv(args.data).records
     groups = group_by_accommodation(records)
 
@@ -389,10 +379,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (ValueError, FloatingPointError) as exc:  # SchemaError, RowError, divergence
+    except (ValueError, FloatingPointError) as exc:  # bad flags, SchemaError, RowError, divergence
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -14,6 +14,8 @@ from functools import cache
 from pathlib import Path
 from typing import Any, Callable, Mapping, get_type_hints
 
+from .dataset import utf8_named
+
 
 def _int_range(raw: str) -> tuple[int, int]:
     lo, sep, hi = raw.partition("..")
@@ -41,8 +43,10 @@ def parse_value(cls: type, key: str, raw: str) -> Any:
 
 
 def parse_config_file(cls: type, path: str | Path) -> dict[str, Any]:
+    with utf8_named(path):
+        text = Path(path).read_text(encoding="utf-8")
     values = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -326,7 +326,8 @@ def load_csv(path: str | Path, schema_mode: str = "strict") -> LoadResult:
     Rows whose accommodation context disagrees with an earlier row of the
     same accommodation_id are malformed, and so are rows the CSV reader
     cannot split (a field over ``csv.field_size_limit()``, a NUL byte).
-    A file that is not UTF-8 text raises ValueError naming it.
+    A file that is not UTF-8 text raises ValueError naming it; a leading
+    UTF-8 byte-order mark is skipped.
 
     Rows are read as cell lists and picked by column position, with the
     semantics of ``csv.DictReader``: blank lines are skipped and not
@@ -339,7 +340,7 @@ def load_csv(path: str | Path, schema_mode: str = "strict") -> LoadResult:
     if schema_mode not in ("strict", "lenient"):
         raise ValueError(f"schema_mode must be 'strict' or 'lenient', got {schema_mode!r}")
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle, utf8_named(path):
+    with path.open(newline="", encoding="utf-8-sig") as handle, utf8_named(path):
         reader = csv.reader(handle)
         try:
             header = next(reader, None)

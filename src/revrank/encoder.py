@@ -36,13 +36,14 @@ A trained model is a ``DualEncoder``: one shared vocabulary plus two
 independent parameter sets, one for contexts and one for reviews.
 Checkpoints are .npz archives; loading reproduces encode outputs bit-exactly.
 
-Loading maps the archive read-only instead of reading it.  ``np.savez``
-stores its members uncompressed, so for each member the loader takes the
-offset from the zip directory and the local header, checks the CRC-32 of
-the mapped bytes against the directory, and wraps the array data with
-``np.frombuffer``: the embedding tables are read-only views of the map,
-never copied.  A deflated member (``np.savez_compressed``) is inflated
-first.  Any fault in the archive's structure is a ``ValueError``.  The map
+Loading maps the archive read-only instead of reading it.  Members are
+read as ``np.savez`` stores them, uncompressed: for each member the loader
+takes the offset from the zip directory and the local header, checks the
+CRC-32 of the mapped bytes against the directory, and wraps the array data
+with ``np.frombuffer``, so every array it reads is a read-only view of the
+map and the embedding tables are never copied.  An archive with a
+compressed member (``np.savez_compressed``) is rejected.  Any fault in the
+archive's structure is a ``ValueError``.  The map
 lives as long as an array on it, so a checkpoint file must be replaced
 atomically (``atomic_write``), never rewritten in place while a model
 loaded from it is in use.
@@ -60,7 +61,7 @@ import struct
 import zipfile
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
@@ -81,19 +82,27 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    index: dict[str, int]
+    """A vocabulary is its tokens in id order: ``tokens[i]`` has id ``i``.
+
+    The tokens are distinct and include UNK, which every token outside
+    them maps to.  ``index`` maps each token to its id.
+    """
+
+    tokens: tuple[str, ...]
     min_frequency: int
     max_size: int
+    index: dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if UNK not in self.index:
+        index = dict(zip(self.tokens, range(len(self.tokens))))
+        if len(index) != len(self.tokens):
+            raise ValueError("vocabulary tokens must be distinct")
+        if UNK not in index:
             raise ValueError("vocabulary must contain the UNK token")
-        indices = sorted(self.index.values())
-        if indices != list(range(len(self.index))):
-            raise ValueError("vocabulary indices must be dense in [0, |V|)")
+        object.__setattr__(self, "index", index)
 
     def __len__(self) -> int:
-        return len(self.index)
+        return len(self.tokens)
 
     @property
     def unk_index(self) -> int:
@@ -110,19 +119,6 @@ class Vocabulary:
     def encode_text(self, text: str) -> list[int]:
         """Token ids of a string: tokenized, truncated, looked up."""
         return self.encode_tokens(tokenize(text))
-
-    def to_tokens(self) -> list[str]:
-        """Tokens in index order (UNK last by construction)."""
-        ordered = sorted(self.index.items(), key=lambda kv: kv[1])
-        return [t for t, _ in ordered]
-
-    @classmethod
-    def from_tokens(cls, tokens: Sequence[str], min_frequency: int, max_size: int) -> "Vocabulary":
-        return cls(
-            index=dict(zip(tokens, range(len(tokens)))),
-            min_frequency=min_frequency,
-            max_size=max_size,
-        )
 
 
 def build_vocabulary(
@@ -150,12 +146,7 @@ def build_vocabulary(
         (t for t, c in counts.items() if c >= min_frequency),
         key=lambda t: (-counts[t], t),
     )[:max_size]
-    kept.append(UNK)
-    return Vocabulary(
-        index={t: i for i, t in enumerate(kept)},
-        min_frequency=min_frequency,
-        max_size=max_size,
-    )
+    return Vocabulary((*kept, UNK), min_frequency=min_frequency, max_size=max_size)
 
 
 @dataclass
@@ -387,12 +378,11 @@ def save_checkpoint(model: DualEncoder, path: str | Path) -> None:
     path = Path(path)
     if not path.name.endswith(".npz"):
         path = path.with_name(path.name + ".npz")
-    tokens = model.vocab.to_tokens()
     with atomic_write(path) as handle:
         np.savez(
             handle,
             format_version=np.array(CHECKPOINT_VERSION),
-            vocab_tokens=np.array(tokens),
+            vocab_tokens=np.array(model.vocab.tokens),
             vocab_min_frequency=np.array(model.vocab.min_frequency),
             vocab_max_size=np.array(model.vocab.max_size),
             context_embedding=model.context.embedding,
@@ -419,7 +409,7 @@ _NPY_MAX_HEADER = 10000  # np.load's default limit on a .npy header
 _NPY_PREFIX = 10 + _NPY_MAX_HEADER  # magic and version, length field, header
 
 
-def _npy_array(data: memoryview | bytes) -> np.ndarray:
+def _npy_array(data: memoryview) -> np.ndarray:
     """Read-only array over the bytes of a .npy file, without copying them.
 
     As with ``np.load(allow_pickle=False)``, object arrays and headers over
@@ -448,14 +438,11 @@ def _npy_array(data: memoryview | bytes) -> np.ndarray:
     return array.reshape(shape)
 
 
-def _member_bytes(mapped: mmap.mmap, info: zipfile.ZipInfo) -> memoryview | bytes:
-    """The uncompressed bytes of one zip member, their CRC-32 checked.
-
-    A stored member is a view of ``mapped``; a deflated one is inflated.
-    """
+def _member_bytes(mapped: mmap.mmap, info: zipfile.ZipInfo) -> memoryview:
+    """The bytes of one stored zip member, a view of ``mapped``, their CRC-32 checked."""
     if info.flag_bits & _ENCRYPTED:
         raise ValueError("encrypted member")
-    if info.compress_type not in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED):
+    if info.compress_type != zipfile.ZIP_STORED:
         raise ValueError(f"unsupported compression method {info.compress_type}")
     start = info.header_offset
     if not 0 <= start <= len(mapped) - _LOCAL_HEADER.size:
@@ -472,11 +459,6 @@ def _member_bytes(mapped: mmap.mmap, info: zipfile.ZipInfo) -> memoryview | byte
     if data_end > len(mapped):
         raise ValueError("member data lies outside the file")
     data = memoryview(mapped)[data_start:data_end]
-    if info.compress_type == zipfile.ZIP_DEFLATED:
-        try:
-            data = zlib.decompress(data, -zlib.MAX_WBITS)
-        except zlib.error as exc:
-            raise ValueError(f"corrupt compressed data ({exc})") from exc
     if len(data) != info.file_size:
         raise ValueError("member size differs from the directory")
     if zlib.crc32(data) != info.CRC:
@@ -530,8 +512,8 @@ def load_checkpoint(path: str | Path) -> DualEncoder:
             f"checkpoint format version {version} not supported "
             f"(expected {CHECKPOINT_VERSION})"
         )
-    vocab = Vocabulary.from_tokens(
-        data["vocab_tokens"].tolist(),
+    vocab = Vocabulary(
+        tuple(data["vocab_tokens"].tolist()),
         min_frequency=int(data["vocab_min_frequency"]),
         max_size=int(data["vocab_max_size"]),
     )
@@ -579,12 +561,6 @@ def encode_backward_batch_ids(
     if upstream.shape != (len(batches), params.d):
         raise ValueError(
             f"upstream gradient shape {upstream.shape} != ({len(batches)}, {params.d})"
-        )
-    if len(batches) == 0:
-        return EncoderGradients(
-            rows=np.zeros(0, dtype=np.intp), values=np.zeros((0, params.d_e)),
-            projection=np.zeros_like(params.projection), bias=np.zeros_like(params.bias),
-            vocab_size=params.vocab_size,
         )
     if not isinstance(batches, PooledBatch):
         batches = pool_ids(params, batches)

@@ -385,7 +385,7 @@ def train(
         save_checkpoint(result.best_model, out_dir / "best.npz")
         texts = {
             "train_log.txt": result.log_text(),
-            "vocabulary.txt": "\n".join(model.vocab.to_tokens()) + "\n",
+            "vocabulary.txt": "\n".join(model.vocab.tokens) + "\n",
             "config.txt": config_to_text(config),
         }
         for name, text in texts.items():

@@ -185,12 +185,12 @@ def test_backward_signed_zero_upstream():
     assert not np.signbit(actual.embedding).any()
 
 
-def test_backward_empty_batch_is_zero():
+def test_backward_empty_batch_raises_like_the_forward():
     params = random_params(np.random.default_rng(1), 4, 3, 2)
-    grads = encode_backward_batch_ids(params, [], np.zeros((0, 2)))
-    for name, block in reference_backward(params, [], np.zeros((0, 2))).items():
-        assert_same_bits(grads.blocks()[name], block)
-    assert grads.rows.size == 0
+    with pytest.raises(ValueError, match="^cannot encode an empty batch$"):
+        encode_batch_ids(params, [])
+    with pytest.raises(ValueError, match="^cannot encode an empty batch$"):
+        encode_backward_batch_ids(params, [], np.zeros((0, 2)))
 
 
 def touched_rows(rng, vocab_size, kind):
@@ -307,7 +307,7 @@ def test_forward_on_mapped_checkpoint_tables(tmp_path, dims):
     d_e, d = dims
     rng = np.random.default_rng(d_e * 1000 + d)
     vocab_size = 300
-    vocab = Vocabulary.from_tokens([f"t{i}" for i in range(vocab_size - 1)] + [UNK], 1, 50000)
+    vocab = Vocabulary((*(f"t{i}" for i in range(vocab_size - 1)), UNK), 1, 50000)
     path = tmp_path / "model.npz"
     save_checkpoint(DualEncoder(vocab=vocab,
                                 context=random_params(rng, vocab_size, d_e, d),

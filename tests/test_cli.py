@@ -1,3 +1,4 @@
+import codecs
 import os
 import subprocess
 import sys
@@ -133,6 +134,18 @@ class TestIngest:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: row 2: ")
+
+    def test_byte_order_mark_is_skipped(self, corpus_csv, tmp_path, capsys):
+        plain = corpus_csv.read_bytes()
+        assert not plain.startswith(codecs.BOM_UTF8)  # write_csv writes no BOM
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(codecs.BOM_UTF8 + plain)
+        assert load_csv(bom) == load_csv(corpus_csv)
+        reports = []
+        for path in (corpus_csv, bom):
+            assert main(["ingest", "--input", str(path)]) == 0
+            reports.append(capsys.readouterr())
+        assert reports[0] == reports[1]
 
 
 class TestGenSynthetic:
@@ -540,6 +553,19 @@ class TestCorruptCheckpoint:
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == [
             f"error: {damaged}: entry 'context_embedding': bad CRC-32"
+        ]
+
+    def test_compressed_checkpoint_exit_1_one_line(self, corpus_csv, checkpoint_dir, tmp_path):
+        with np.load(checkpoint_dir / "best.npz") as saved:
+            compressed = tmp_path / "compressed.npz"
+            np.savez_compressed(compressed, **saved)
+        reviews, _ = TestRank().one_accommodation_csv(corpus_csv, tmp_path)
+        proc = run_revrank("rank", "--checkpoint", str(compressed), "--reviews", str(reviews),
+                           *CONTEXT_FLAGS)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            f"error: {compressed}: entry 'format_version': unsupported compression method 8"
         ]
 
     def test_missing_checkpoint_exit_2(self, corpus_csv):

@@ -158,6 +158,19 @@ class TestValues:
         assert main([names.get(arg, arg) for arg in argv]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--config", "CONFIG", "--data", "DATA", "--out", "OUT"],
+        ["gen-synthetic", "--config", "CONFIG", "--out", "OUT"],
+    ])
+    def test_cli_exit_1_names_a_config_not_utf8(self, tmp_path, capsys, argv):
+        config = tmp_path / "latin.cfg"
+        config.write_bytes(b"epochs = 2\xa4\n")
+        names = {"CONFIG": str(config), "DATA": str(tmp_path / "absent.csv"),
+                 "OUT": str(tmp_path / "out")}
+        assert main([names.get(arg, arg) for arg in argv]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}: not UTF-8 text (byte 0xa4: invalid start byte)\n")
+
     def test_line_without_equals_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("# header\nepochs 3\n", encoding="utf-8")

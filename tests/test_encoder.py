@@ -48,19 +48,19 @@ class TestVocabulary:
     def test_min_frequency_filter(self):
         corpus = [["a", "a", "a"], ["b"]]
         vocab = build_vocabulary(corpus, min_frequency=2, max_size=100)
-        assert vocab.to_tokens() == ["a", UNK]
+        assert vocab.tokens == ("a", UNK)
         assert vocab.lookup("b") == vocab.unk_index
 
     def test_all_tokens_kept(self):
         corpus = [["x", "y"], ["z", "x"]]
         vocab = build_vocabulary(corpus, min_frequency=1, max_size=1000)
-        assert set(vocab.to_tokens()) == {"x", "y", "z", UNK}
-        assert vocab.to_tokens()[0] == "x"  # most frequent first
-        assert vocab.to_tokens()[-1] == UNK
+        assert set(vocab.tokens) == {"x", "y", "z", UNK}
+        assert vocab.tokens[0] == "x"  # most frequent first
+        assert vocab.tokens[-1] == UNK
 
     def test_lexicographic_tie_break(self):
         vocab = build_vocabulary([["b", "a", "b", "a"]], min_frequency=1, max_size=10)
-        assert vocab.to_tokens() == ["a", "b", UNK]
+        assert vocab.tokens == ("a", "b", UNK)
 
     def test_max_size_truncates(self):
         corpus = [[f"t{i}" for i in range(20)]]
@@ -78,22 +78,17 @@ class TestVocabulary:
 
     def test_round_trip_token_order(self):
         vocab = build_vocabulary([["c", "a", "b", "a"]], min_frequency=1, max_size=10)
-        rebuilt = Vocabulary.from_tokens(vocab.to_tokens(), vocab.min_frequency, vocab.max_size)
-        assert rebuilt.index == vocab.index
+        rebuilt = Vocabulary(vocab.tokens, vocab.min_frequency, vocab.max_size)
+        assert rebuilt == vocab
+        assert rebuilt.index == vocab.index == {"a": 0, "b": 1, "c": 2, UNK: 3}
 
-    @pytest.mark.parametrize("index", [
-        {"a": 0, "b": 0, UNK: 2},  # a repeated id leaves a gap
-        {"a": 0, UNK: 2},
-        {"a": -1, UNK: 1},
-        {"a": 0, "b": 1},  # no UNK
-    ])
-    def test_rejects_malformed_index(self, index):
-        with pytest.raises(ValueError):
-            Vocabulary(index, min_frequency=1, max_size=10)
+    def test_rejects_repeated_token(self):
+        with pytest.raises(ValueError, match="distinct"):
+            Vocabulary(("a", "b", "a", UNK), min_frequency=1, max_size=10)
 
-    def test_from_tokens_rejects_repeated_token(self):
-        with pytest.raises(ValueError, match="dense"):
-            Vocabulary.from_tokens(["a", "b", "a", UNK], min_frequency=1, max_size=10)
+    def test_rejects_missing_unk(self):
+        with pytest.raises(ValueError, match="UNK"):
+            Vocabulary(("a", "b"), min_frequency=1, max_size=10)
 
     @given(st.lists(st.sampled_from(["a", "b", "c", "zz", UNK, ""]), max_size=MAX_TOKENS + 5))
     def test_encode_tokens_matches_lookup(self, tokens):

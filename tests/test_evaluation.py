@@ -192,8 +192,8 @@ class TestRankProperties:
 
 def marker_model():
     """Dual encoder whose logit is positive exactly for (country Ci, review markeri)."""
-    tokens = ["c0", "c1", "c2", "marker0", "marker1", "marker2", UNK]
-    vocab = Vocabulary.from_tokens(tokens, min_frequency=1, max_size=10)
+    tokens = ("c0", "c1", "c2", "marker0", "marker1", "marker2", UNK)
+    vocab = Vocabulary(tokens, min_frequency=1, max_size=10)
     ctx_embedding = np.zeros((len(tokens), 3))
     rev_embedding = np.zeros((len(tokens), 3))
     for i in range(3):

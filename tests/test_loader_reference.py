@@ -109,7 +109,7 @@ def reference_load_csv(path, schema_mode="strict"):
 
 
 def reference_load_utf8_csv(path, schema_mode):
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         try:
             header = reader.fieldnames

@@ -319,13 +319,13 @@ class TestTrain:
         loaded = load_checkpoint(tmp_path / "final.npz")
         assert np.array_equal(loaded.context.embedding, result.model.context.embedding)
         assert np.array_equal(loaded.review.bias, result.model.review.bias)
-        assert loaded.vocab.index == result.model.vocab.index
+        assert loaded.vocab == result.model.vocab
 
     def test_checkpoint_tokens_are_plain_str(self, tmp_path):
         records = learnable_records(n_acc=3, per_type=1)
         result = train(records, [], desk_config(epochs=0), out_dir=tmp_path)
-        tokens = load_checkpoint(tmp_path / "final.npz").vocab.to_tokens()
-        assert tokens == result.model.vocab.to_tokens()
+        tokens = load_checkpoint(tmp_path / "final.npz").vocab.tokens
+        assert tokens == result.model.vocab.tokens
         assert all(type(t) is str for t in tokens)
 
     def test_random_sampler_runs(self):
