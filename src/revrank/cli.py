@@ -256,7 +256,7 @@ def cmd_compare(args) -> int:
     model = load_checkpoint(args.checkpoint)
     baseline = load_checkpoint(args.baseline_checkpoint)
     with utf8_named(args.lexicon):
-        lexicon = parse_lexicon(Path(args.lexicon).read_text(encoding="utf-8"))
+        lexicon = parse_lexicon(Path(args.lexicon).read_text(encoding="utf-8-sig"))
     if not lexicon:
         raise ValueError(f"lexicon file {args.lexicon} defines no topics")
     records = load_csv(args.data).records

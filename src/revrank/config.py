@@ -44,7 +44,7 @@ def parse_value(cls: type, key: str, raw: str) -> Any:
 
 def parse_config_file(cls: type, path: str | Path) -> dict[str, Any]:
     with utf8_named(path):
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     values = {}
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()

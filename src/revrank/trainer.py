@@ -16,10 +16,14 @@ pass.  Then it runs one tower's backward and AdamW update, then the
 other's (a backward reads only its own tower and the loss's gradients).
 The embedding gradient holds only the rows the batch touched, and AdamW
 gives gradient terms to those rows alone; every other row takes the exact
-update of a +0.0 gradient (see ``optimizer_step``).  The AdamW moments are
-freed before writing.  So the peak is the model (2 |V| x d_e tables), the
-moments (4) and, while an earlier epoch is best, its copy (2): at most 8
-float64 tables, about 108 MB at |V| = 26.4k, d_e = 64.
+update of a +0.0 gradient (see ``optimizer_step``).  AdamW flags each
+embedding chunk of ADAMW_BLOCK_ROWS rows once a batch reaches it; an
+unflagged chunk's moments are all +0.0, and there the update reduces
+exactly to the weight decay, so its moments are never read or written.
+The AdamW moments are freed before writing.  So the peak is the model
+(2 |V| x d_e tables), the moments (4) and, while an earlier epoch is best,
+its copy (2): at most 8 float64 tables, about 108 MB at |V| = 26.4k,
+d_e = 64.
 """
 
 from __future__ import annotations
@@ -125,12 +129,37 @@ def lr_schedule(step: int, total_steps: int, base_lr: float, warmup_fraction: fl
     return base_lr
 
 
+# Rows per chunk of the AdamW update.  At d_e = 64 a chunk of each of the six
+# arrays it touches (parameter, gradient, both moments, two scratch buffers)
+# is 256 KiB, 1.5 MiB in all, which fits a 2 MiB per-core L2 cache; 512 was
+# the fastest of 128 to 2048 rows at |V| = 26.6k on such a Xeon.
+ADAMW_BLOCK_ROWS = 512
+
+
 @dataclass
 class AdamWState:
-    """First/second moment accumulators for one encoder's blocks."""
+    """First/second moment accumulators for one encoder's blocks.
+
+    ``live_chunks[i]`` flags embedding chunk i, rows i*ADAMW_BLOCK_ROWS up
+    to the next chunk.  It is worked out from the moments: a chunk is
+    flagged when any of its ``m`` or ``v`` entries is not +0.0, bit for bit,
+    so -0.0 counts.  ``zeros_like`` flags no chunk, and ``optimizer_step``
+    flags a chunk once a batch reaches it.  Invariant: every ``m`` and ``v``
+    entry of an unflagged chunk is +0.0.
+    """
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    live_chunks: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # Chunk by chunk, so that no temporary is the size of the table.
+        starts = range(0, len(self.m["embedding"]), ADAMW_BLOCK_ROWS)
+        self.live_chunks = np.zeros(len(starts), dtype=bool)
+        for i, start in enumerate(starts):
+            for moment in (self.m["embedding"], self.v["embedding"]):
+                chunk = moment[start : start + ADAMW_BLOCK_ROWS]
+                self.live_chunks[i] |= (np.signbit(chunk) | (chunk != 0)).any()
 
     @classmethod
     def zeros_like(cls, params: EncoderParams) -> "AdamWState":
@@ -138,13 +167,6 @@ class AdamWState:
             m={k: np.zeros_like(a) for k, a in params.blocks().items()},
             v={k: np.zeros_like(a) for k, a in params.blocks().items()},
         )
-
-
-# Rows per chunk of the AdamW update.  At d_e = 64 a chunk of each of the six
-# arrays it touches (parameter, gradient, both moments, two scratch buffers)
-# is 256 KiB, 1.5 MiB in all, which fits a 2 MiB per-core L2 cache; 512 was
-# the fastest of 128 to 2048 rows at |V| = 26.6k on such a Xeon.
-ADAMW_BLOCK_ROWS = 512
 
 
 def optimizer_step(
@@ -177,8 +199,16 @@ def optimizer_step(
     runs the tail every row shares.  Projection and bias take every term
     chunk by chunk.  Each element thus goes through the operations of the
     whole-array expression fed the dense gradient, in the same order, so
-    the result is bit-identical to it.  A non-finite gradient raises
-    FloatingPointError before its block is changed.
+    the result is bit-identical to it.
+
+    Once the gradient is found finite, the chunks of ``grads.rows`` are
+    flagged in ``state.live_chunks``.  An unflagged chunk has m = v = +0.0
+    (the state's invariant) and gradient +0.0, so m*b1 + 0.0 and v*b2 are
+    +0.0, sqrt(+0.0/v_correction) + eps is eps and +0.0/eps is +0.0: the
+    update is exactly p -= (0.0 + weight_decay*p) * lr.  Such a chunk runs
+    only that and leaves its moments alone.  A non-finite gradient raises
+    FloatingPointError before its block is changed (for the embedding,
+    before any flag is set).
     """
     if t < 1:
         raise ValueError(f"update count must be >= 1, got {t}")
@@ -196,6 +226,8 @@ def optimizer_step(
         starts = range(0, len(param), ADAMW_BLOCK_ROWS)
         if sparse:
             rows = grads.rows
+            live = state.live_chunks
+            live[rows // ADAMW_BLOCK_ROWS] = True
             touched_m, touched_v = m[rows], v[rows]
             _add_gradient(touched_m, touched_v, grad, np.empty_like(grad), b1, b2)
             # The touched rows of chunk i are rows[cuts[i]:cuts[i + 1]].
@@ -206,6 +238,13 @@ def optimizer_step(
             chunk = slice(start, start + ADAMW_BLOCK_ROWS)
             p, mc, vc = param[chunk], m[chunk], v[chunk]
             a, b = scratch_a[: len(p)], scratch_b[: len(p)]
+            if sparse and not live[i]:
+                # m = v = g = +0.0: the tail below reduces to this, bit for bit.
+                np.multiply(config.weight_decay, p, out=a)
+                a += 0.0
+                a *= lr
+                p -= a
+                continue
             if sparse:
                 mc *= b1
                 mc += 0.0

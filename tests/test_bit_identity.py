@@ -253,6 +253,76 @@ def test_adamw_matches_whole_array_reference(
             assert_same_bits(state.v[name], expected_state.v[name])
 
 
+def zero_bits(block):
+    return not block.view(np.uint64).any()
+
+
+@pytest.mark.parametrize("vocab_size", (ADAMW_BLOCK_ROWS + 1, 2000))
+@pytest.mark.parametrize("weight_decay", (0.0, 0.01))
+@pytest.mark.parametrize("beta2", (0.999, -0.0))
+def test_adamw_from_zero_moments_matches_whole_array_reference(vocab_size, weight_decay, beta2):
+    """Chunks no gradient has reached take the decay-only path, bit for bit.
+
+    Training starts from zero moments.  The first steps touch chunk 0 only;
+    from step 4 the rows on both sides of the first chunk edge and the last
+    row are touched too.  Every chunk's parameters hold +0.0 and -0.0, whose
+    update tells the decay-only path's ``+ 0.0`` apart from its absence.
+    """
+    d_e, d = 3, 2
+    rng = np.random.default_rng(vocab_size)
+    config = TrainConfig(weight_decay=weight_decay, beta2=beta2)
+    params = random_params(rng, vocab_size, d_e, d)
+    params.embedding[ADAMW_BLOCK_ROWS - 2 :: ADAMW_BLOCK_ROWS, :2] = (0.0, -0.0)
+    params.embedding[-1, :2] = (-0.0, 0.0)
+    expected = params.copy()
+    state = AdamWState.zeros_like(params)
+    expected_state = AdamWState.zeros_like(expected)
+    assert not state.live_chunks.any()
+    late_rows = [ADAMW_BLOCK_ROWS - 1, ADAMW_BLOCK_ROWS, vocab_size - 1]
+    reached = set()
+    for t, lr in enumerate((0.0, 1e-2, 0.37, 1e-2, 0.37, 3e-5, 1e-2), start=1):
+        rows = rng.choice(ADAMW_BLOCK_ROWS - 2, size=rng.integers(1, 40), replace=False)
+        if t >= 4:
+            rows = np.concatenate([rows, late_rows])
+        rows = np.sort(rows)
+        reached.update((rows // ADAMW_BLOCK_ROWS).tolist())
+        grads = EncoderGradients(
+            rows=rows,
+            values=with_signed_zeros(rng, (len(rows), d_e)),
+            projection=with_signed_zeros(rng, (d_e, d)),
+            bias=with_signed_zeros(rng, (d,)),
+            vocab_size=vocab_size,
+        )
+        optimizer_step(params, grads, state, t, lr, config)
+        reference_adamw(expected, grads.blocks(), expected_state, t, lr, config)
+        for name, block in expected.blocks().items():
+            assert_same_bits(params.blocks()[name], block)
+            assert_same_bits(state.m[name], expected_state.m[name])
+            assert_same_bits(state.v[name], expected_state.v[name])
+        assert np.flatnonzero(state.live_chunks).tolist() == sorted(reached)
+        for i in np.flatnonzero(~state.live_chunks):
+            chunk = slice(i * ADAMW_BLOCK_ROWS, (i + 1) * ADAMW_BLOCK_ROWS)
+            assert zero_bits(state.m["embedding"][chunk])
+            assert zero_bits(state.v["embedding"][chunk])
+    # At |V| = 2000 chunk 2 is never reached.
+    assert state.live_chunks.all() == (vocab_size == ADAMW_BLOCK_ROWS + 1)
+
+
+def test_adamw_state_flags_the_chunks_with_a_moment_that_is_not_plus_zero():
+    vocab_size = 4 * ADAMW_BLOCK_ROWS - 5
+    params = random_params(np.random.default_rng(0), vocab_size, 2, 2)
+    assert AdamWState.zeros_like(params).live_chunks.tolist() == [False] * 4
+    m = {name: np.zeros_like(block) for name, block in params.blocks().items()}
+    v = {name: np.zeros_like(block) for name, block in params.blocks().items()}
+    # Projection and bias moments do not flag a chunk.
+    m["projection"][:], v["bias"][:] = 1.0, 1.0
+    m["embedding"][2 * ADAMW_BLOCK_ROWS - 1, 1] = -0.0  # the last row of chunk 1
+    v["embedding"][-1, 0] = 5e-324  # the last row of chunk 3
+    assert AdamWState(m=m, v=v).live_chunks.tolist() == [False, True, False, True]
+    v["embedding"][ADAMW_BLOCK_ROWS * 2] = -0.0  # the first row of chunk 2
+    assert AdamWState(m=m, v=v).live_chunks.tolist() == [False, True, True, True]
+
+
 # Batches on both sides of the pooling branch: fewer sequences than the
 # longest has tokens are pooled one sequence at a time, the rest by position.
 @settings(max_examples=60, deadline=None)

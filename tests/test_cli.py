@@ -479,6 +479,23 @@ class TestCompare:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_lexicon_byte_order_mark_is_skipped(self, corpus_csv, checkpoint_dir,
+                                               tmp_path, capsys):
+        outputs = []
+        for name, mark in (("plain", b""), ("bom", codecs.BOM_UTF8)):
+            lexicon = tmp_path / f"{name}.txt"
+            lexicon.write_bytes(mark + self.LEXICON.encode("utf-8"))
+            out = tmp_path / f"{name}.out"
+            code = main(["compare", "--checkpoint", str(checkpoint_dir / "best.npz"),
+                         "--baseline-checkpoint", str(checkpoint_dir / "final.npz"),
+                         "--data", str(corpus_csv), "--lexicon", str(lexicon),
+                         "--samples", "4", "--seed", "7", "--out", str(out)])
+            assert code == 0
+            stdout = capsys.readouterr().out.replace(str(tmp_path / name), "PATH")
+            outputs.append((out.read_bytes(), stdout))
+        assert outputs[0] == outputs[1]
+        assert b"solo" in outputs[0][0]
+
     def test_not_utf8_lexicon_exit_1_names_the_file(self, corpus_csv, checkpoint_dir,
                                                      tmp_path):
         lexicon = tmp_path / "topics.txt"

@@ -4,6 +4,7 @@ Fuzzed configs are only parsed and constructed, never trained on or
 generated from, so their sizes do not matter.
 """
 
+import re
 from dataclasses import fields, replace
 
 import pytest
@@ -170,6 +171,33 @@ class TestValues:
         assert main([names.get(arg, arg) for arg in argv]) == 1
         assert capsys.readouterr().err == (
             f"error: {config}: not UTF-8 text (byte 0xa4: invalid start byte)\n")
+
+    @pytest.mark.parametrize("argv, text", [
+        (["train", "--config", "CONFIG", "--data", "DATA", "--d", "4", "--d-e", "4",
+          "--out", "OUT"], b"epochs = 1\nseed = 4\n"),
+        (["gen-synthetic", "--config", "CONFIG", "--out", "OUT"],
+         b"n_accommodations = 3\nseed = 4\n"),
+    ])
+    def test_cli_skips_a_byte_order_mark(self, tmp_path, capsys, argv, text):
+        assert main(["gen-synthetic", "--out", str(tmp_path / "data.csv"),
+                     "--accommodations", "6", "--reviews", "4"]) == 0
+        outputs = []
+        for name, raw in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+            config = tmp_path / f"{name}.cfg"
+            config.write_bytes(raw)
+            out_dir = tmp_path / name
+            out_dir.mkdir()
+            names = {"CONFIG": str(config), "DATA": str(tmp_path / "data.csv"),
+                     "OUT": str(out_dir / "out")}
+            capsys.readouterr()
+            assert main([names.get(arg, arg) for arg in argv]) == 0
+            files = sorted(f for f in out_dir.rglob("*") if f.is_file())
+            stdout = capsys.readouterr().out.replace(str(out_dir), "DIR").encode()
+            outputs.append([str(f.relative_to(out_dir)) for f in files] + [
+                re.sub(rb"seconds=[0-9.]+", b"seconds=", data)
+                for data in [stdout] + [f.read_bytes() for f in files]
+            ])
+        assert outputs[0] == outputs[1]
 
     def test_line_without_equals_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"

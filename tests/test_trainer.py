@@ -12,6 +12,7 @@ from revrank.config import config_to_text, parse_config_file
 from revrank.synthgen import SynthConfig, generate
 from revrank.textualize import serialize_record
 from revrank.trainer import (
+    ADAMW_BLOCK_ROWS,
     PRESETS,
     AdamWState,
     TrainConfig,
@@ -181,6 +182,26 @@ class TestOptimizerStep:
             optimizer_step(
                 params, grads_like(params, np.nan), state, 1, lr=0.1, config=TrainConfig()
             )
+        # It changes nothing, no chunk flag included.  Chunk 0 is reached by
+        # the first step; the NaN step names a row of chunk 1.
+        params = init_params(d=2, d_e=3, vocab_size=ADAMW_BLOCK_ROWS + 7, seed=0)
+        state = AdamWState.zeros_like(params)
+        grads = grads_like(params, 0.5)
+        grads.rows, grads.values = grads.rows[:4], grads.values[:4]
+        optimizer_step(params, grads, state, 1, lr=0.1, config=TrainConfig())
+        params_before = params.copy()
+        m_before = {name: block.copy() for name, block in state.m.items()}
+        v_before = {name: block.copy() for name, block in state.v.items()}
+        assert state.live_chunks.tolist() == [True, False]
+        grads.rows = np.array([2, ADAMW_BLOCK_ROWS + 1])
+        grads.values = np.array([[0.5, 0.5, 0.5], [0.5, np.nan, 0.5]])
+        with pytest.raises(FloatingPointError, match="embedding"):
+            optimizer_step(params, grads, state, 2, lr=0.1, config=TrainConfig())
+        assert state.live_chunks.tolist() == [True, False]
+        for now, then in ((params.blocks(), params_before.blocks()),
+                          (state.m, m_before), (state.v, v_before)):
+            for name, block in then.items():
+                assert now[name].tobytes() == block.tobytes()
 
 
 def desk_config(**kw):
