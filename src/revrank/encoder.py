@@ -18,19 +18,28 @@ plain matrix product of the batch sums in another order.
 
 Pooling is ``embedding[ids].mean(axis=0)`` to the bit, which for a float64
 table with d_e > 1 follows that rule.  ``pool_ids`` pools through ``_pool``,
-which sorts the batch longest first, starts from each sequence's
-first-token row plus 0.0, and adds position p's rows into the prefix of
-sequences longer than p.  (For d_e = 1 numpy sums the one column pairwise,
-and a float16 table in float32, so such tables are pooled one sequence at a
-time.)  Both passes take its ``PooledBatch``, so a training step that hands
-the forward's batch to the backward pools each tower's batch once.  In the
-embedding gradient a token's occurrences in one sequence are added first,
-then the sequences' sums for one row, in batch order:
-``encode_backward_batch_ids`` makes vectorized adds over the batch's
-distinct (token, sequence) pairs and one ``np.bincount`` over one slot per
-distinct token.  So the embedding gradient is row-sparse: the batch's
-distinct rows and their values, never a dense |V| x d_e table; every other
-row's gradient is +0.0.
+which sorts the batch longest first.  A batch with at least as many
+sequences as its longest has tokens adds position p's rows into the prefix
+of sequences longer than p.  A smaller one, such as a training step's, is
+taken in blocks of bounded size: one gather of each block's rows into a
+(longest, sequences, d_e) array, with +0.0 past each sequence's end, and
+one ``_batch_sum`` over the first axis.  (For d_e = 1 numpy sums the one
+column pairwise, and a float16 table in float32, so such tables are pooled
+one sequence at a time.)  Both
+passes take its ``PooledBatch``, so a training step that hands the forward's
+batch to the backward pools each tower's batch once.  The projection
+gradient is the batch's outer products (``np.einsum``, which only
+multiplies) added by ``_batch_sum``.  In the embedding gradient a token's
+occurrences in one sequence are added first, then the sequences' sums for
+one row, in batch order.  ``encode_backward_batch_ids`` sorts the batch's
+distinct (token, sequence) pairs once.  Pass 1 adds each sequence's
+gradient k times, for each k up to the largest count of a token in one
+sequence, which gives every pair's sum; pass 2 adds each token's pairs with
+``np.bincount``, whose bins take their weights in input order, a block of
+whole tokens at a time.  So the embedding gradient is row-sparse: the
+batch's distinct rows and their values, never a dense |V| x d_e table;
+every other row's gradient is +0.0.  Apart from pass 1's sums, each float64
+temporary of either pass holds about ``_BLOCK_ENTRIES`` entries at most.
 
 A trained model is a ``DualEncoder``: one shared vocabulary plus two
 independent parameter sets, one for contexts and one for reviews.
@@ -124,7 +133,22 @@ class Vocabulary:
 def build_vocabulary(
     corpus: Iterable[Sequence[str]], min_frequency: int = 1, max_size: int = 50000
 ) -> Vocabulary:
-    """Frequency vocabulary over tokenized texts.
+    """Frequency vocabulary over tokenized texts (see ``vocabulary_from_counts``)."""
+    counts: dict[str, int] = {}
+    seen_any = False
+    for tokens in corpus:
+        seen_any = True
+        for token in tokens:
+            counts[token] = counts.get(token, 0) + 1
+    if not seen_any:
+        raise ValueError("cannot build a vocabulary from an empty corpus")
+    return vocabulary_from_counts(counts, min_frequency, max_size)
+
+
+def vocabulary_from_counts(
+    counts: dict[str, int], min_frequency: int = 1, max_size: int = 50000
+) -> Vocabulary:
+    """Frequency vocabulary from each token's count.
 
     Tokens with count >= min_frequency are kept, ordered most frequent
     first with lexicographic tie-breaks, truncated to max_size, and UNK is
@@ -134,14 +158,6 @@ def build_vocabulary(
         raise ValueError(f"min_frequency must be >= 1, got {min_frequency}")
     if max_size < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size}")
-    counts: dict[str, int] = {}
-    seen_any = False
-    for tokens in corpus:
-        seen_any = True
-        for token in tokens:
-            counts[token] = counts.get(token, 0) + 1
-    if not seen_any:
-        raise ValueError("cannot build a vocabulary from an empty corpus")
     kept = sorted(
         (t for t, c in counts.items() if c >= min_frequency),
         key=lambda t: (-counts[t], t),
@@ -284,16 +300,30 @@ def _flatten(batches: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     return lengths, flat
 
 
+# Entries a block's float64 temporary in pooling or in the backward pass may
+# hold: 256 KiB.  At d_e = 64 that is 512 rows, so a batch of 12 sequences
+# of 40 tokens is one block; twice as much raised the bench's peak RSS.
+_BLOCK_ENTRIES = 1 << 15
+
+
 def _pool(embedding: np.ndarray, lengths: np.ndarray, flat: np.ndarray) -> np.ndarray:
     """Mean embedding of each nonempty sequence, as ``_flatten`` lays them out.
 
-    Summed one token position at a time, except one sequence at a time
-    where that takes fewer numpy calls (fewer sequences than the longest has
-    tokens) or numpy's mean sums in another order (one column, or not
-    float64).
+    A float64 table with d_e > 1 is pooled longest sequence first, in one of
+    two ways, whichever takes fewer numpy calls.  A batch with at least as
+    many sequences as its longest has tokens adds one token position at a
+    time into the sequences still going.  A smaller batch, such as a
+    training step's, is taken in blocks: the sequences longer than half the
+    block's longest, at most ``_BLOCK_ENTRIES`` gathered entries (or one
+    sequence).  A block's rows are gathered into one (longest, sequences,
+    d_e) array, +0.0 past each sequence's end, and summed over the first
+    axis by ``_batch_sum``.  Adding +0.0 changes no sum but -0.0, and a sum
+    from +0.0 is never -0.0, so either way each sequence's sum is its rows
+    added in order from +0.0.  A table with one column, or not float64, is
+    pooled one sequence at a time: numpy's mean sums those in another order
+    (one column pairwise, float16 in float32).
     """
-    if (len(lengths) < lengths.max() or embedding.shape[1] == 1
-            or embedding.dtype != np.float64):
+    if embedding.shape[1] == 1 or embedding.dtype != np.float64:
         ends = np.cumsum(lengths).tolist()
         return np.stack([
             embedding[flat[end - n:end]].mean(axis=0)
@@ -302,16 +332,37 @@ def _pool(embedding: np.ndarray, lengths: np.ndarray, flat: np.ndarray) -> np.nd
     order = np.argsort(-lengths, kind="stable")  # longest first
     starts = (np.cumsum(lengths) - lengths)[order]
     lengths = lengths[order]
-    # ids[p, i] is token p of the i-th longest sequence; past a sequence's
-    # end it is some other id of the batch, never read.
-    ids = flat[np.minimum(starts + np.arange(lengths[0])[:, None], len(flat) - 1)]
-    # The sequences longer than p, alive[p] of them, lead that order.
-    alive = len(lengths) - np.cumsum(np.bincount(lengths))
-    sums = embedding[ids[0]]
-    sums += 0.0
-    for p in range(1, len(ids)):
-        k = alive[p]
-        sums[:k] += embedding[ids[p, :k]]
+    last = len(flat) - 1
+    if len(lengths) >= lengths[0]:
+        # ids[p, i] is token p of the i-th longest sequence; past a sequence's
+        # end it is some other id of the batch, never read.
+        ids = flat[np.minimum(starts + np.arange(lengths[0])[:, None], last)]
+        # The sequences longer than p, alive[p] of them, lead that order.
+        alive = len(lengths) - np.cumsum(np.bincount(lengths))
+        sums = embedding[ids[0]]
+        sums += 0.0
+        for p in range(1, len(ids)):
+            k = alive[p]
+            sums[:k] += embedding[ids[p, :k]]
+    else:
+        sums = np.empty((len(lengths), embedding.shape[1]))
+        # take copies rows fastest from an aligned table, but several times
+        # slower than indexing from an unaligned one (a mapped checkpoint's
+        # may be).
+        aligned = embedding.flags.aligned
+        i = 0
+        while i < len(lengths):
+            longest = int(lengths[i])
+            j = min(int(np.searchsorted(-lengths, -(longest // 2))),
+                    i + max(1, _BLOCK_ENTRIES // (longest * embedding.shape[1])))
+            steps = np.arange(longest)[:, None]
+            # Past a sequence's end this gathers some other row of the batch,
+            # which is then set to +0.0.
+            ids = flat.take(np.minimum(starts[i:j] + steps, last))
+            rows = embedding.take(ids, axis=0) if aligned else embedding[ids]
+            rows[steps >= lengths[i:j]] = 0.0
+            sums[i:j] = _batch_sum(rows)
+            i = j
     pooled = np.empty_like(sums)
     pooled[order] = sums / lengths[:, None]
     return pooled
@@ -554,8 +605,12 @@ def encode_backward_batch_ids(
     A row appearing k times among a sequence's T tokens receives k/T of that
     sequence's pooled gradient; ``rows`` are the batch's distinct ids,
     wrapped into [0, |V|) as in indexing.  The summation order is the one in
-    the module docstring.  A ``PooledBatch`` must come from ``pool_ids``
-    with these parameters, so that its pooled rows are the forward's.
+    the module docstring: the projection and bias gradients add the batch's
+    terms in batch order from +0.0 (``_batch_sum``), a token occurring k
+    times in a sequence receives that sequence's gradient added k times from
+    +0.0 (pass 1), and each row adds those in batch order from +0.0 (pass
+    2).  A ``PooledBatch`` must come from ``pool_ids`` with these
+    parameters, so that its pooled rows are the forward's.
     """
     upstream = np.asarray(upstream_rows, dtype=float)
     if upstream.shape != (len(batches), params.d):
@@ -565,32 +620,48 @@ def encode_backward_batch_ids(
     if not isinstance(batches, PooledBatch):
         batches = pool_ids(params, batches)
     lengths, flat = batches.lengths, batches.flat
+    n_seqs, d_e = len(lengths), params.d_e
     grad_bias = _batch_sum(upstream)
-    grad_projection = _batch_sum(batches.pooled[:, :, None] * upstream[:, None, :])
+    # Outer products, summed over the batch, for a block of input rows at a time.
+    grad_projection = np.empty((d_e, params.d))
+    step = max(1, _BLOCK_ENTRIES // upstream.size)
+    for a in range(0, d_e, step):
+        grad_projection[a:a + step] = _batch_sum(
+            np.einsum("ia,ib->iab", batches.pooled[:, a:a + step], upstream))
     seq_grads = (params.projection @ upstream[:, :, None])[:, :, 0] / lengths[:, None]
 
     # One key per distinct (token, sequence) pair, sorted by token, then by
     # sequence; negative ids wrap as in indexing.
-    n_seqs = len(lengths)
     seqs = np.repeat(np.arange(n_seqs), lengths)
     keys, counts = np.unique(flat % params.vocab_size * n_seqs + seqs, return_counts=True)
     key_tokens, key_seqs = np.divmod(keys, n_seqs)
-    # Pass 1: a sequence's k occurrences of a token, added one by one from 0.0.
-    sums = seq_grads[key_seqs]
-    sums += 0.0
-    for k in range(2, counts.max() + 1):
-        more = counts >= k
-        sums[more] += seq_grads[key_seqs[more]]
-    # Pass 2: bincount adds each bin's weights in input order from 0.0, and
-    # the keys of one token come in batch order, all in that token's slot.
-    rows, slots = np.unique(key_tokens, return_inverse=True)
-    d_e = params.d_e
-    values = np.bincount(
-        (slots[:, None] * d_e + np.arange(d_e)).ravel(),
-        weights=sums.ravel(),
-        minlength=len(rows) * d_e,
-    ).reshape(len(rows), d_e)
+    # Pass 1: row (k - 1) * n_seqs + s of multiples is sequence s's gradient
+    # added k times from +0.0, what a token occurring k times in it receives.
+    multiples = np.empty((counts.max(), n_seqs, d_e))
+    np.add(seq_grads, 0.0, out=multiples[0])
+    for k in range(1, len(multiples)):
+        np.add(multiples[k - 1], seq_grads, out=multiples[k])
+    multiples = multiples.reshape(-1, d_e)
+    sources = (counts - 1) * n_seqs + key_seqs
+    # Pass 2: bincount adds each bin's weights in input order from +0.0, and
+    # a token's keys are contiguous and in batch order.  It runs over whole
+    # tokens, about _BLOCK_ENTRIES // d_e keys at a time.
+    new_token = np.empty(len(keys), dtype=bool)
+    new_token[0] = True
+    np.not_equal(key_tokens[1:], key_tokens[:-1], out=new_token[1:])
+    firsts = np.flatnonzero(new_token)
+    slots = np.cumsum(new_token) - 1
+    block_tokens = [*dict.fromkeys(slots[::max(1, _BLOCK_ENTRIES // d_e)].tolist()), len(firsts)]
+    block_keys = [*firsts[block_tokens[:-1]].tolist(), len(keys)]
+    values = np.empty((len(firsts), d_e))
+    columns = np.arange(d_e)
+    for t0, t1, k0, k1 in zip(block_tokens, block_tokens[1:], block_keys, block_keys[1:]):
+        values[t0:t1] = np.bincount(
+            ((slots[k0:k1] - t0)[:, None] * d_e + columns).ravel(),
+            weights=multiples.take(sources[k0:k1], axis=0).ravel(),
+            minlength=(t1 - t0) * d_e,
+        ).reshape(t1 - t0, d_e)
     return EncoderGradients(
-        rows=rows, values=values, projection=grad_projection, bias=grad_bias,
+        rows=key_tokens[firsts], values=values, projection=grad_projection, bias=grad_bias,
         vocab_size=params.vocab_size,
     )

@@ -1,8 +1,10 @@
 """Training loop: AdamW with decoupled weight decay and linear warmup.
 
 Both encoders are updated once per batch from the exact analytic gradients
-of the configured loss.  The learning rate ramps linearly from zero over
-the first ceil(warmup_fraction * total_steps) steps, then stays constant.
+of the configured loss.  Each training record is serialized and tokenized
+once, for the vocabulary and for its token ids (``_read_tokens``).  The
+learning rate ramps linearly from zero over the first
+ceil(warmup_fraction * total_steps) steps, then stays constant.
 After every epoch the model is scored by validation MRR.  When that MRR
 improves the best model is copied, after the old copy is freed, unless the
 epoch is the last one; then, as when no epoch was validated, the best model
@@ -28,8 +30,11 @@ d_e = 64.
 
 from __future__ import annotations
 
+import itertools
 import math
+import shutil
 import time
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -40,18 +45,20 @@ from .config import config_to_text
 from .contrastive import LOSSES, interaction_matrix
 from .dataset import ReviewRecord, group_by_accommodation
 from .encoder import (
+    MAX_TOKENS,
     DualEncoder,
     EncoderGradients,
     EncoderParams,
+    Vocabulary,
     atomic_write,
-    build_vocabulary,
     encode_backward_batch_ids,
     encode_batch_ids,
     init_model,
     pool_ids,
     save_checkpoint,
+    vocabulary_from_counts,
 )
-from .evaluation import model_rank_group, mrr, record_ids
+from .evaluation import TokenIds, model_rank_group, mrr, record_ids
 from .sampling import in_accommodation_epoch, random_epoch
 from .textualize import record_tokens
 
@@ -317,18 +324,43 @@ def _epoch_plan(records, groups, config: TrainConfig, epoch: int):
 
 
 def initialize_model(records: Sequence[ReviewRecord], config: TrainConfig) -> DualEncoder:
-    """Vocabulary from the given (training) records plus fresh encoders.
+    """Vocabulary from the given (training) records plus fresh encoders."""
+    return _fresh_model(_read_tokens(records, config)[0], config)
 
-    The records' tokens are counted as they are made, one record at a time.
+
+def _fresh_model(vocab: Vocabulary, config: TrainConfig) -> DualEncoder:
+    seeds = (_derive_seed(config.seed, 1), _derive_seed(config.seed, 2))
+    return init_model(vocab, config.d, config.d_e, seeds)
+
+
+def _read_tokens(
+    records: Sequence[ReviewRecord], config: TrainConfig
+) -> tuple[Vocabulary, TokenIds]:
+    """The records' vocabulary and their ``record_ids`` under it.
+
+    Each record is serialized and tokenized once.  A token gets a
+    provisional id when first read, and each text keeps its provisional ids,
+    never its token strings.  Once all are read the ids are counted, which
+    gives the vocabulary, and each text's list is rewritten in place with
+    the vocabulary ids of its first MAX_TOKENS tokens.
     """
     if not records:
         raise ValueError("cannot initialize from an empty training split")
-    vocab = build_vocabulary(
-        (tokens for record in records for tokens in record_tokens(record)),
-        min_frequency=config.min_frequency, max_size=config.max_vocab_size,
-    )
-    seeds = (_derive_seed(config.seed, 1), _derive_seed(config.seed, 2))
-    return init_model(vocab, config.d, config.d_e, seeds)
+    provisional: defaultdict[str, int] = defaultdict(itertools.count().__next__)
+    texts = [list(map(provisional.__getitem__, tokens))
+             for record in records for tokens in record_tokens(record)]
+    counts = Counter(itertools.chain.from_iterable(texts))
+    # Each token's count replaces its id in place, so that no second table of
+    # every token is built; the keys stay in id order.
+    for token, i in provisional.items():
+        provisional[token] = counts[i]
+    del counts
+    vocab = vocabulary_from_counts(provisional, config.min_frequency, config.max_vocab_size)
+    lookup, unk = vocab.index.get, vocab.unk_index
+    final = [lookup(t, unk) for t in provisional]
+    for text in texts:
+        text[:] = map(final.__getitem__, text[:MAX_TOKENS])
+    return vocab, (texts[0::2], texts[1::2])
 
 
 def train(
@@ -352,13 +384,13 @@ def train(
     (non-finite embeddings or NaN dot products), or a non-finite batch loss,
     raises FloatingPointError("training diverged at epoch E ...").
     """
-    model = initialize_model(train_records, config)
+    vocab, (context_ids, review_ids) = _read_tokens(train_records, config)
+    model = _fresh_model(vocab, config)
     groups = group_by_accommodation(train_records)
     valid_groups = []
     if valid_records:
         valid_groups = [g for g in group_by_accommodation(valid_records) if len(g) >= 2]
 
-    context_ids, review_ids = record_ids(model.vocab, train_records)
     valid = [(g, record_ids(model.vocab, g.records)) for g in valid_groups]
 
     steps_per_epoch = len(_epoch_plan(train_records, groups, config, 0))
@@ -421,7 +453,12 @@ def train(
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         save_checkpoint(model, out_dir / "final.npz")
-        save_checkpoint(result.best_model, out_dir / "best.npz")
+        if result.best_model is model:  # the same bytes, copied
+            with open(out_dir / "final.npz", "rb") as source, \
+                    atomic_write(out_dir / "best.npz") as handle:
+                shutil.copyfileobj(source, handle)
+        else:
+            save_checkpoint(result.best_model, out_dir / "best.npz")
         texts = {
             "train_log.txt": result.log_text(),
             "vocabulary.txt": "\n".join(model.vocab.tokens) + "\n",

@@ -8,6 +8,8 @@ tests compare them bit for bit, signed zeros included; inputs are NaN-free
 so equality plus sign bits is bit identity.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -394,3 +396,107 @@ def test_forward_on_mapped_checkpoint_tables(tmp_path, dims):
                                       reference_forward(model.review, batch))
         assert_same_bits(actual.unclamped, expected.unclamped)
         assert_same_bits(actual.values, expected.values)
+
+
+@st.composite
+def blocked_case(draw):
+    """Batches that span several blocks of pooling and of the backward pass."""
+    vocab_size = draw(st.sampled_from((1, 7, 300, 2000)))
+    d_e, d = draw(st.sampled_from(BACKWARD_DIMENSIONS + ((128, 32),)))
+    n = draw(st.integers(1, 300))
+    longest = draw(st.integers(1, MAX_TOKENS))
+    shared = draw(st.booleans())  # one token in every sequence
+    dtype = draw(st.sampled_from((np.float64, np.float32)))
+    return vocab_size, d_e, d, n, longest, shared, dtype, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=blocked_case())
+@example(case=(300, 64, 64, 300, MAX_TOKENS, True, np.float64, 0))
+@example(case=(2000, 64, 64, 300, MAX_TOKENS, False, np.float64, 1))
+@example(case=(1, 1, 4, 200, 3, True, np.float64, 2))
+@example(case=(300, 128, 32, 300, MAX_TOKENS, True, np.float32, 3))
+def test_blocked_passes_match_per_sequence_reference(case):
+    vocab_size, d_e, d, n, longest, shared, dtype, seed = case
+    rng = np.random.default_rng(seed)
+    params = random_params(rng, vocab_size, d_e, d)
+    params.embedding = params.embedding.astype(dtype)
+    batch = random_batch(rng, vocab_size, n, longest)
+    if shared:
+        for ids in batch:
+            ids[-1] = vocab_size - 1
+    assert_same_bits(encode_batch_ids(params, batch), reference_forward(params, batch))
+    if dtype != np.float64:  # the reference sums a float32 table's gradient in float32
+        return
+    upstream = with_signed_zeros(rng, (n, d))
+    expected = reference_backward(params, batch, upstream)
+    actual = encode_backward_batch_ids(params, batch, upstream)
+    for name, block in expected.items():
+        assert_same_bits(actual.blocks()[name], block)
+    assert np.array_equal(actual.rows, np.unique(np.concatenate(batch) % vocab_size))
+
+
+def test_backward_one_column_one_row():
+    """d_e = 1 and one distinct row: each of the row's sums is one entry wide.
+
+    numpy's reduce adds such a column pairwise; the gradient adds the
+    sequences one by one, in batch order.
+    """
+    rng = np.random.default_rng(0)
+    params = random_params(rng, 1, 1, 4)
+    batch = [[0], [0], [0], [-1]] * 10 + [[0, -1, 0]]
+    upstream = rng.normal(size=(len(batch), 4)) * 10.0 ** rng.integers(-8, 8, size=(len(batch), 1))
+    expected = reference_backward(params, batch, upstream)
+    actual = encode_backward_batch_ids(params, batch, upstream)
+    for name, block in expected.items():
+        assert_same_bits(actual.blocks()[name], block)
+
+
+def test_pool_and_backward_allocate_a_bounded_amount():
+    """Pooling and the backward pass of 500 sequences of MAX_TOKENS tokens.
+
+    Beyond their outputs, pooling holds the batch's ids by position (500
+    KiB) and a few arrays of one row per sequence (250 KiB each).  The
+    backward makes float64 temporaries of a block at a time (at most 256
+    KiB each, or one token's rows), arrays of one integer per token (64000
+    tokens, 500 KiB each) and each sequence's gradient added up to its most
+    repeated token's count of times (about 1.2 MiB here).  Summing the
+    whole batch at once took 57 MB for the backward.
+    """
+    rng = np.random.default_rng(0)
+    vocab_size, d_e = 300, 64
+    params = random_params(rng, vocab_size, d_e, 64)
+    batch = [rng.integers(0, vocab_size, size=MAX_TOKENS).tolist() for _ in range(500)]
+    upstream = rng.normal(size=(len(batch), 64))
+    encode_backward_batch_ids(params, batch[:2], upstream[:2])  # numpy's first-call set-up
+    tracemalloc.start()
+    try:
+        pooled = pool_ids(params, batch)
+        pool_extra = tracemalloc.get_traced_memory()[1] - tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        grads = encode_backward_batch_ids(params, pooled, upstream)
+        backward_extra = tracemalloc.get_traced_memory()[1] - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert pooled.pooled.shape == (500, d_e) and len(grads.rows) == vocab_size
+    assert pool_extra < 2 * 2**20
+    assert backward_extra < 8 * 2**20
+
+
+def test_pool_of_an_unaligned_table():
+    """A table mapped from a checkpoint may be unaligned; it pools to the same bits."""
+    rng = np.random.default_rng(5)
+    params = random_params(rng, 300, 64, 8)
+    raw = np.zeros(params.embedding.nbytes + 3, dtype=np.uint8)
+    unaligned = np.frombuffer(raw.data, dtype=np.float64, count=params.embedding.size,
+                              offset=3).reshape(params.embedding.shape)
+    unaligned.flags.writeable = False
+    raw[3:] = params.embedding.view(np.uint8).ravel()
+    assert not unaligned.flags.aligned
+    aligned = params.embedding
+    for n in (12, 500):  # both sides of the pooling branch
+        batch = random_batch(rng, 300, n, MAX_TOKENS)
+        params.embedding = aligned
+        expected = reference_forward(params, batch)
+        params.embedding = unaligned
+        assert_same_bits(encode_batch_ids(params, batch), expected)

@@ -6,16 +6,24 @@ import numpy as np
 import pytest
 
 from revrank.dataset import GuestType, group_by_accommodation, split_dataset
-from revrank.encoder import EncoderGradients, init_params, load_checkpoint, tokenize
-from revrank.evaluation import model_rank_group, mrr
+from revrank.encoder import (
+    MAX_TOKENS,
+    EncoderGradients,
+    build_vocabulary,
+    init_params,
+    load_checkpoint,
+    tokenize,
+)
+from revrank.evaluation import model_rank_group, mrr, record_ids
 from revrank.config import config_to_text, parse_config_file
 from revrank.synthgen import SynthConfig, generate
-from revrank.textualize import serialize_record
+from revrank.textualize import record_tokens, serialize_record
 from revrank.trainer import (
     ADAMW_BLOCK_ROWS,
     PRESETS,
     AdamWState,
     TrainConfig,
+    _read_tokens,
     initialize_model,
     lr_schedule,
     optimizer_step,
@@ -305,6 +313,20 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * lists_size
+
+    def test_one_tokenization_gives_the_vocabulary_and_record_ids(self):
+        # The vocabulary counts every token, truncation keeps the first
+        # MAX_TOKENS of a text, and a rare or cut token maps to UNK.
+        records = generate(SynthConfig(n_accommodations=8, reviews_per_accommodation=(3, 5)))
+        long_text = " ".join(f"w{i % 150}" for i in range(3 * MAX_TOKENS))
+        records[1] = replace(records[1], review=replace(records[1].review,
+                                                        review_positive=long_text))
+        assert max(len(tokens) for tokens in record_tokens(records[1])) > MAX_TOKENS
+        for config in (TrainConfig(), TrainConfig(min_frequency=3, max_vocab_size=40)):
+            vocab, ids = _read_tokens(records, config)
+            stream = (tokens for record in records for tokens in record_tokens(record))
+            assert vocab == build_vocabulary(stream, config.min_frequency, config.max_vocab_size)
+            assert ids == record_ids(vocab, records)
 
     def test_peak_memory_is_bounded(self, tmp_path):
         # The model (2 tables) and the AdamW moments (4) are 6 |V| x d_e

@@ -14,8 +14,11 @@ its own ``src`` on ``PYTHONPATH``, one BLAS thread and ``PYTHONHASHSEED=0``:
   ``--split 1,0,0 --epochs 2``, ``--d 1 --d-e 1 --epochs 2``,
   ``--loss bce --sampler random --epochs 2``, ``--sampler random --split
   1,0,0 --batch-size 59`` (3600 = 61 x 59 + 1: one record is left out of
-  each epoch) and ``--batch-size 11`` (groups of 12 = 11 + 1: each
-  accommodation gets one merged batch of 12); on train-widevocab with
+  each epoch), ``--batch-size 11`` (groups of 12 = 11 + 1: each
+  accommodation gets one merged batch of 12) and ``--sampler random
+  --batch-size 30 --epochs 1`` (30 contexts of about 38 tokens are pooled
+  in several padded blocks, and their backward pass runs several blocks of
+  projection and bincount); on train-widevocab with
   ``--epochs 1`` and ``--epochs 2`` (a wide table whose best model is the
   final one, or a copy when epoch 1 is best); and on the sparse corpus with
   default flags (one-review accommodations are left out);
@@ -66,6 +69,8 @@ TRAININGS = {
     "desk-random-drop": ("desk", ("--sampler", "random", "--split", "1,0,0",
                                   "--batch-size", "59")),
     "desk-merge": ("desk", ("--batch-size", "11")),
+    "desk-random-blocks": ("desk", ("--sampler", "random", "--batch-size", "30",
+                                    "--epochs", "1")),
     "widevocab": ("widevocab", ("--epochs", "1")),
     "widevocab-epochs2": ("widevocab", ("--epochs", "2")),
     "sparse": ("sparse", ()),
