@@ -30,7 +30,7 @@ valid_records = [r for g in valid_g for r in g.records]
 
 config = TrainConfig(seed=2)
 result = train(train_records, valid_records, config)
-untrained = initialize_model(train_records, config)
+untrained, _ = initialize_model(train_records, config)
 
 # evaluate_methods aggregates MRR and Precision@k per method and runs the
 # significance tests when two or more methods are compared.

@@ -26,7 +26,7 @@ train_g, valid_g, test_g = split_dataset(groups, (0.8, 0.1, 0.1), seed=5)
 config = TrainConfig(seed=5)
 result = train([r for g in train_g for r in g.records],
                [r for g in valid_g for r in g.records], config)
-untrained = initialize_model([r for g in train_g for r in g.records], config)
+untrained, _ = initialize_model([r for g in train_g for r in g.records], config)
 
 # A topic lexicon is plain text, one "topic: keyword, keyword" line each.
 # Here the topics are the generator's own guest-type vocabularies, so a

@@ -2,7 +2,7 @@
 
 Both encoders are updated once per batch from the exact analytic gradients
 of the configured loss.  Each training record is serialized and tokenized
-once, for the vocabulary and for its token ids (``_read_tokens``).  The
+once, for the vocabulary and for its token ids (``initialize_model``).  The
 learning rate ramps linearly from zero over the first
 ceil(warmup_fraction * total_steps) steps, then stays constant.
 After every epoch the model is scored by validation MRR.  When that MRR
@@ -34,7 +34,6 @@ import itertools
 import math
 import shutil
 import time
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -49,14 +48,13 @@ from .encoder import (
     DualEncoder,
     EncoderGradients,
     EncoderParams,
-    Vocabulary,
     atomic_write,
+    build_vocabulary,
     encode_backward_batch_ids,
     encode_batch_ids,
     init_model,
     pool_ids,
     save_checkpoint,
-    vocabulary_from_counts,
 )
 from .evaluation import TokenIds, model_rank_group, mrr, record_ids
 from .sampling import in_accommodation_epoch, random_epoch
@@ -323,44 +321,42 @@ def _epoch_plan(records, groups, config: TrainConfig, epoch: int):
     return in_accommodation_epoch(groups, config.batch_size, seed)
 
 
-def initialize_model(records: Sequence[ReviewRecord], config: TrainConfig) -> DualEncoder:
-    """Vocabulary from the given (training) records plus fresh encoders."""
-    return _fresh_model(_read_tokens(records, config)[0], config)
-
-
-def _fresh_model(vocab: Vocabulary, config: TrainConfig) -> DualEncoder:
-    seeds = (_derive_seed(config.seed, 1), _derive_seed(config.seed, 2))
-    return init_model(vocab, config.d, config.d_e, seeds)
-
-
-def _read_tokens(
+def initialize_model(
     records: Sequence[ReviewRecord], config: TrainConfig
-) -> tuple[Vocabulary, TokenIds]:
-    """The records' vocabulary and their ``record_ids`` under it.
+) -> tuple[DualEncoder, TokenIds]:
+    """Vocabulary from the given (training) records plus fresh encoders, and
+    the records' ``record_ids`` under that vocabulary.
 
-    Each record is serialized and tokenized once.  A token gets a
-    provisional id when first read, and each text keeps its provisional ids,
-    never its token strings.  Once all are read the ids are counted, which
-    gives the vocabulary, and each text's list is rewritten in place with
-    the vocabulary ids of its first MAX_TOKENS tokens.
+    Each record is serialized and tokenized once, and its tokens are
+    counted as they are made.  Each text keeps its first MAX_TOKENS tokens
+    as references to one string per distinct token, never a string of its
+    own; once the vocabulary is known, each text's list is rewritten in
+    place with vocabulary ids.
     """
     if not records:
         raise ValueError("cannot initialize from an empty training split")
-    provisional: defaultdict[str, int] = defaultdict(itertools.count().__next__)
-    texts = [list(map(provisional.__getitem__, tokens))
-             for record in records for tokens in record_tokens(record)]
-    counts = Counter(itertools.chain.from_iterable(texts))
-    # Each token's count replaces its id in place, so that no second table of
-    # every token is built; the keys stay in id order.
-    for token, i in provisional.items():
-        provisional[token] = counts[i]
-    del counts
-    vocab = vocabulary_from_counts(provisional, config.min_frequency, config.max_vocab_size)
-    lookup, unk = vocab.index.get, vocab.unk_index
-    final = [lookup(t, unk) for t in provisional]
+    # Each token maps to its first string, which every text then shares.
+    # (Provisional int ids instead were a new object each above 256, and
+    # raised train-widevocab's peak RSS by about 0.6 MB.)
+    distinct: dict[str, str] = {}
+    texts: list[list] = []
+
+    def token_lists():
+        for record in records:
+            for tokens in record_tokens(record):
+                # Rewritten in place, a slice keeps its exact size.
+                head = tokens[:MAX_TOKENS]
+                head[:] = map(distinct.setdefault, head, head)
+                texts.append(head)
+                yield tokens
+
+    vocab = build_vocabulary(token_lists(), config.min_frequency, config.max_vocab_size)
+    del distinct
+    unk = itertools.repeat(vocab.unk_index)
     for text in texts:
-        text[:] = map(final.__getitem__, text[:MAX_TOKENS])
-    return vocab, (texts[0::2], texts[1::2])
+        text[:] = map(vocab.index.get, text, unk)
+    seeds = (_derive_seed(config.seed, 1), _derive_seed(config.seed, 2))
+    return init_model(vocab, config.d, config.d_e, seeds), (texts[0::2], texts[1::2])
 
 
 def train(
@@ -384,8 +380,7 @@ def train(
     (non-finite embeddings or NaN dot products), or a non-finite batch loss,
     raises FloatingPointError("training diverged at epoch E ...").
     """
-    vocab, (context_ids, review_ids) = _read_tokens(train_records, config)
-    model = _fresh_model(vocab, config)
+    model, (context_ids, review_ids) = initialize_model(train_records, config)
     groups = group_by_accommodation(train_records)
     valid_groups = []
     if valid_records:

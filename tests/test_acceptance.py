@@ -272,7 +272,7 @@ def test_criterion_06_ordering_reproduction():
             votes0 = per_accommodation_mrr(
                 [helpful_votes_ranking(g) for g in test_groups]
             )
-            baseline = initialize_model(train_records, replace(PRESETS["desk"], seed=0))
+            baseline, _ = initialize_model(train_records, replace(PRESETS["desk"], seed=0))
             untrained0 = per_accommodation_mrr(
                 [model_rank_group(baseline, g) for g in test_groups]
             )

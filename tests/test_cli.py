@@ -374,7 +374,7 @@ def test_fresh_towers_come_from_one_constructor(corpus_csv, checkpoint_dir, monk
                           init_params(d, d_e, size, seed=5))
     assert table_bits(untrained) == table_bits(by_hand)
 
-    fresh = initialize_model(load_csv(corpus_csv).records, TrainConfig(d=d, d_e=d_e, seed=3))
+    fresh, _ = initialize_model(load_csv(corpus_csv).records, TrainConfig(d=d, d_e=d_e, seed=3))
     seeds = (_derive_seed(3, 1), _derive_seed(3, 2))
     assert table_bits(fresh) == table_bits(init_model(fresh.vocab, d, d_e, seeds))
 

@@ -23,7 +23,6 @@ from revrank.trainer import (
     PRESETS,
     AdamWState,
     TrainConfig,
-    _read_tokens,
     initialize_model,
     lr_schedule,
     optimizer_step,
@@ -237,7 +236,7 @@ class TestTrain:
         records = learnable_records(n_acc=2, per_type=1)
         config = desk_config(epochs=0)
         result = train(records, [], config)
-        fresh = initialize_model(records, config)
+        fresh, _ = initialize_model(records, config)
         assert np.array_equal(result.model.context.embedding, fresh.context.embedding)
         assert np.array_equal(result.best_model.review.projection, fresh.review.projection)
         assert result.epochs == []
@@ -299,7 +298,9 @@ class TestTrain:
         assert result.model.review.embedding.tobytes() != replay.review.embedding.tobytes()
 
     def test_vocabulary_counted_from_a_stream_of_records(self):
-        # Only one record's token lists are alive at a time, never all of them.
+        # Only one record's token lists are alive at a time, never all of
+        # them; every other text holds references to one string per distinct
+        # token, and then integer ids.
         records = generate(SynthConfig(n_accommodations=100, reviews_per_accommodation=(12, 12)))
         tracemalloc.start()
         try:
@@ -323,10 +324,10 @@ class TestTrain:
                                                         review_positive=long_text))
         assert max(len(tokens) for tokens in record_tokens(records[1])) > MAX_TOKENS
         for config in (TrainConfig(), TrainConfig(min_frequency=3, max_vocab_size=40)):
-            vocab, ids = _read_tokens(records, config)
+            model, ids = initialize_model(records, config)
             stream = (tokens for record in records for tokens in record_tokens(record))
-            assert vocab == build_vocabulary(stream, config.min_frequency, config.max_vocab_size)
-            assert ids == record_ids(vocab, records)
+            assert model.vocab == build_vocabulary(stream, config.min_frequency, config.max_vocab_size)
+            assert ids == record_ids(model.vocab, records)
 
     def test_peak_memory_is_bounded(self, tmp_path):
         # The model (2 tables) and the AdamW moments (4) are 6 |V| x d_e
